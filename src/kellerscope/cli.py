@@ -2,12 +2,14 @@
 
 Subcommands: run, sweep, theta0, check, resume. Outcome exit codes:
 0 bounded / finished, 2 blow-up, 3 undecided or stalled; 10 means the
-command never produced a result (bad usage, bad config, IO failure).
+command never produced a result (bad usage, bad config, IO failure) or
+that cells of a sweep failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import enum
 import os
 import sys
 
@@ -22,7 +24,7 @@ from .model import ModelParams, homogeneous_steady_state
 from .snapshot import read_snapshot, write_snapshot
 from .stepper import SimState, StepperConfig, run, run_state, \
     solve_helmholtz, step
-from .sweep import SweepSpec, regime_map, run_sweep
+from .sweep import regime_map, run_sweep
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -35,7 +37,11 @@ _OUTCOME_EXIT = {
     RunOutcome.UNDECIDED: EXIT_UNDECIDED,
 }
 
+# CSV columns, each the name of an attribute of the rows written
 SERIES_COLUMNS = ("t", "dt", "mass", "sup_u", "sup_v", "l2_u", "lgamma_u", "status")
+RECORD_COLUMNS = ("chi", "mu", "p", "replica", "outcome", "sup_u_max", "t_final",
+                  "theory_prediction", "note")
+REGIME_COLUMNS = ("chi", "mu", "p", "outcome", "theory_prediction", "agree")
 
 
 class _CliError(Exception):
@@ -60,17 +66,24 @@ def _load_config(path: str | None) -> RunConfig:
         raise _CliError(f"invalid config {path}:\n{exc}") from exc
 
 
-def _write_series_csv(series, path: str) -> None:
+def _csv_cell(val) -> str:
+    if isinstance(val, enum.Enum):
+        return val.value
+    if isinstance(val, str):
+        return val.replace(",", ";")
+    if isinstance(val, int):  # bool included: written as 0 / 1
+        return str(int(val))
+    return _g17(val)
+
+
+def _write_csv(path: str, columns: tuple[str, ...], rows) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(SERIES_COLUMNS) + "\n")
-            for s in series:
-                fh.write(",".join([
-                    _g17(s.t), _g17(s.dt), _g17(s.mass), _g17(s.sup_u),
-                    _g17(s.sup_v), _g17(s.l2_u), _g17(s.lgamma_u), s.status,
-                ]) + "\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_csv_cell(getattr(row, c)) for c in columns) + "\n")
     except OSError as exc:
-        raise _CliError(f"cannot write series CSV {path}: {exc}") from exc
+        raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _ensure_out_dir(cfg: RunConfig, override: str | None) -> str:
@@ -95,7 +108,7 @@ def cmd_run(cfg: RunConfig, out_dir: str | None = None,
     else:
         u0, v0 = build_ic(cfg.ic, cfg.domain)
         result = run(u0, v0, cfg.params, cfg.stepper)
-    _write_series_csv(result.series, os.path.join(out, "series.csv"))
+    _write_csv(os.path.join(out, "series.csv"), SERIES_COLUMNS, result.series)
     try:
         write_snapshot(result.final, os.path.join(out, "final.snap"))
     except (OSError, ValueError) as exc:
@@ -108,47 +121,23 @@ def cmd_run(cfg: RunConfig, out_dir: str | None = None,
 
 
 def cmd_sweep(cfg: RunConfig, workers: int, out_dir: str | None = None) -> int:
-    """Map the configured (chi, mu, p) grid; writes records and regime CSVs."""
+    """Map the configured (chi, mu, p) grid; writes records and regime CSVs.
+
+    Cells that raised are recorded as Undecided with an ``error:`` note;
+    if any did, the command fails after writing both files.
+    """
     out = _ensure_out_dir(cfg, out_dir)
-    spec = SweepSpec(
-        domain=cfg.domain,
-        chi_values=cfg.sweep.chi_values,
-        mu_values=cfg.sweep.mu_values,
-        p_values=cfg.sweep.p_values,
-        base_params=cfg.params,
-        base_cfg=cfg.stepper,
-        ic=cfg.ic,
-        repeat=cfg.sweep.repeat,
-        seed=cfg.sweep.seed,
-        gamma0=cfg.sweep.gamma0,
-        C_reg=cfg.sweep.C_reg,
-    )
-    records = run_sweep(spec, workers=workers)
+    records = run_sweep(cfg.sweep, workers=workers)
     rmap = regime_map(records)
-    try:
-        with open(os.path.join(out, "records.csv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("chi,mu,p,replica,outcome,sup_u_max,t_final,"
-                     "theory_prediction,note\n")
-            for r in records:
-                fh.write(",".join([
-                    _g17(r.chi), _g17(r.mu), _g17(r.p), str(r.replica),
-                    r.outcome.value, _g17(r.sup_u_max), _g17(r.t_final),
-                    r.theory_prediction.value, r.note.replace(",", ";"),
-                ]) + "\n")
-        with open(os.path.join(out, "regime_map.csv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("chi,mu,p,outcome,theory_prediction,agree\n")
-            for row in rmap.rows:
-                fh.write(",".join([
-                    _g17(row.chi), _g17(row.mu), _g17(row.p), row.outcome.value,
-                    row.theory_prediction.value, str(int(row.agree)),
-                ]) + "\n")
-    except OSError as exc:
-        raise _CliError(f"cannot write sweep CSVs: {exc}") from exc
+    _write_csv(os.path.join(out, "records.csv"), RECORD_COLUMNS, records)
+    _write_csv(os.path.join(out, "regime_map.csv"), REGIME_COLUMNS, rmap.rows)
     print(f"runs={len(records)} agreement={rmap.agreement_fraction:.6g}")
     for note in rmap.monotonicity_violations:
         print(f"monotonicity: {note}")
+    failed = sum(r.note.startswith("error:") for r in records)
+    if failed:
+        print(f"error: {failed} of {len(records)} sweep cells failed", file=sys.stderr)
+        return EXIT_FAILURE
     return EXIT_OK
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grid import Domain
 from .ic import ICName, ICSpec
 from .model import ModelParams, PhiFamily
 from .stepper import StepperConfig
+from .sweep import SweepSpec
 
 
 class ConfigError(ValueError):
@@ -27,23 +28,12 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SweepSettings:
-    chi_values: tuple[float, ...] = (1.0,)
-    mu_values: tuple[float, ...] = (1.0,)
-    p_values: tuple[float, ...] = (0.0,)
-    repeat: int = 1
-    seed: int = 0
-    gamma0: float | None = None
-    C_reg: float = 1.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     domain: Domain
     params: ModelParams
     stepper: StepperConfig
     ic: ICSpec
-    sweep: SweepSettings = field(default_factory=SweepSettings)
+    sweep: SweepSpec
     out_dir: str = "out"
 
 
@@ -98,6 +88,14 @@ _SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "c_reg": ("float", "1.0"),
     },
 }
+
+# Config keys whose field has another name; every other key is the name of
+# its field on the object its section builds.
+_RENAMED = {"reaction": "reaction_on", "c_reg": "C_reg"}
+
+
+def _field(key: str) -> str:
+    return _RENAMED.get(key, key)
 
 
 def _parse_value(kind: str, text: str):
@@ -179,19 +177,17 @@ def parse_config(text: str) -> RunConfig:
     def lineof(section: str, key: str) -> int:
         return lines.get((section, key), 0)
 
-    def build(section: str, key_fields: dict[str, str], ctor):
-        kwargs = {f: get(section, k) for k, f in key_fields.items()}
+    def build(section: str, ctor, **fixed):
+        keys = _SCHEMA[section]
         try:
-            return ctor(**kwargs)
+            return ctor(**{_field(k): get(section, k) for k in keys}, **fixed)
         except ValueError as exc:
             # constraint messages start with the offending field name; use it
             # to recover the exact config line when that key was set
-            field_to_key = {f: k for k, f in key_fields.items()}
             first = str(exc).split()[0] if str(exc) else ""
-            key = field_to_key.get(first)
-            ln = lineof(section, key) if key else 0
+            ln = next((lineof(section, k) for k in keys if _field(k) == first), 0)
             if ln == 0:
-                ln = max((lineof(section, k) for k in key_fields), default=0)
+                ln = max(lineof(section, k) for k in keys)
             problems.append((ln, f"[{section}] {exc}"))
             return None
 
@@ -213,18 +209,13 @@ def parse_config(text: str) -> RunConfig:
                          f"[domain] {exc}"))
         domain = None
 
-    params = build("model", {
-        "tau": "tau", "chi": "chi", "mu": "mu", "a": "a", "k": "k", "p": "p",
-        "s0_phi": "s0_phi", "phi_family": "phi_family", "reaction": "reaction_on",
-    }, ModelParams)
-    stepper = build("stepper", {k: k for k in _SCHEMA["stepper"]}, StepperConfig)
-    ic = build("ic", {"name": "name", "amplitude": "amplitude", "width": "width"},
-               ICSpec)
-    sweep = build("sweep", {
-        "chi_values": "chi_values", "mu_values": "mu_values",
-        "p_values": "p_values", "repeat": "repeat", "seed": "seed",
-        "gamma0": "gamma0", "c_reg": "C_reg",
-    }, _make_sweep_settings)
+    params = build("model", ModelParams)
+    stepper = build("stepper", StepperConfig)
+    ic = build("ic", ICSpec)
+    # SweepSpec checks only the sweep keys, so their problems are reported
+    # even when a section above failed and is passed on as None
+    sweep = build("sweep", SweepSpec, domain=domain, base_params=params,
+                  base_cfg=stepper, ic=ic)
     out_dir = get("output", "out_dir")
     anchor = _nearest_existing_dir(out_dir)
     if not os.access(anchor, os.W_OK):
@@ -234,21 +225,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(problems)
     return RunConfig(domain=domain, params=params, stepper=stepper, ic=ic,
                      sweep=sweep, out_dir=out_dir)
-
-
-def _make_sweep_settings(**kwargs) -> SweepSettings:
-    settings = SweepSettings(**kwargs)
-    for name in ("chi_values", "mu_values", "p_values"):
-        vals = getattr(settings, name)
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ValueError(f"{name} must be strictly ascending, got {vals}")
-    if any(x <= 0.0 for x in settings.chi_values + settings.mu_values):
-        raise ValueError("chi and mu sweep values must be positive")
-    if settings.repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {settings.repeat}")
-    if not settings.C_reg > 0.0:
-        raise ValueError(f"c_reg must be positive, got {settings.C_reg}")
-    return settings
 
 
 def _nearest_existing_dir(path: str) -> str:
@@ -277,26 +253,12 @@ def format_config(cfg: RunConfig) -> str:
             return val.value
         return str(val)
 
+    owners = {"domain": cfg.domain, "model": cfg.params, "stepper": cfg.stepper,
+              "ic": cfg.ic, "output": cfg, "sweep": cfg.sweep}
     out = []
-    sections = {
-        "domain": {"dim": cfg.domain.dim, "lengths": cfg.domain.lengths,
-                   "cells": cfg.domain.cells},
-        "model": {"tau": cfg.params.tau, "chi": cfg.params.chi, "mu": cfg.params.mu,
-                  "a": cfg.params.a, "k": cfg.params.k, "p": cfg.params.p,
-                  "s0_phi": cfg.params.s0_phi, "phi_family": cfg.params.phi_family,
-                  "reaction": cfg.params.reaction_on},
-        "stepper": {k: getattr(cfg.stepper, k) for k in _SCHEMA["stepper"]},
-        "ic": {"name": cfg.ic.name, "amplitude": cfg.ic.amplitude,
-               "width": cfg.ic.width},
-        "output": {"out_dir": cfg.out_dir},
-        "sweep": {"chi_values": cfg.sweep.chi_values, "mu_values": cfg.sweep.mu_values,
-                  "p_values": cfg.sweep.p_values, "repeat": cfg.sweep.repeat,
-                  "seed": cfg.sweep.seed, "gamma0": cfg.sweep.gamma0,
-                  "c_reg": cfg.sweep.C_reg},
-    }
-    for section, keys in sections.items():
+    for section, keys in _SCHEMA.items():
         out.append(f"[{section}]")
-        for key, val in keys.items():
-            out.append(f"{key} = {fmt(val)}")
+        out.extend(f"{key} = {fmt(getattr(owners[section], _field(key)))}"
+                   for key in keys)
         out.append("")
     return "\n".join(out)

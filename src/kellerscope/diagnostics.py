@@ -239,27 +239,31 @@ def classify_theory(p: float, q: float, n: int, chi: float, mu: float,
     return TheoryRegime.CRITICAL_UNDETERMINED
 
 
+SETTLE_WINDOW_FRAC = 0.2
+SETTLE_DRIFT_TOL = 0.05
+SPIKE_FACTOR = 10.0
+
+
 def classify_run(final: SimState, series: Sequence[ObserverSample],
-                 cfg: StepperConfig, window_frac: float = 0.2,
-                 drift_tol: float = 0.05,
-                 spike_factor: float = 10.0) -> RunOutcome:
+                 cfg: StepperConfig) -> RunOutcome:
     """Label a completed run Bounded, BlowUp or Undecided.
 
     Bounded requires a Finished status, a sup-norm that settled (relative
-    spread below ``drift_tol`` over the trailing ``window_frac`` of samples)
-    and no excursion above ``spike_factor`` times the series median.
+    spread below ``SETTLE_DRIFT_TOL`` over the trailing
+    ``SETTLE_WINDOW_FRAC`` of samples) and no excursion above
+    ``SPIKE_FACTOR`` times the series median.
     """
     if final.status is RunStatus.BLOWUP:
         return RunOutcome.BLOWUP
     if final.status is not RunStatus.FINISHED or len(series) < 2:
         return RunOutcome.UNDECIDED
     sup = np.array([s.sup_u for s in series], dtype=np.float64)
-    window = sup[-max(2, math.ceil(window_frac * len(sup))):]
+    window = sup[-max(2, math.ceil(SETTLE_WINDOW_FRAC * len(sup))):]
     spread = float(window.max() - window.min())
-    settled = spread < drift_tol * max(abs(float(window.max())), 1.0e-300)
+    settled = spread < SETTLE_DRIFT_TOL * max(abs(float(window.max())), 1.0e-300)
     median = float(np.median(sup))
     if median == 0.0:
         no_spike = float(sup.max()) == 0.0
     else:
-        no_spike = float(sup.max()) <= spike_factor * median
+        no_spike = float(sup.max()) <= SPIKE_FACTOR * median
     return RunOutcome.BOUNDED if (settled and no_spike) else RunOutcome.UNDECIDED

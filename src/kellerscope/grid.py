@@ -171,17 +171,8 @@ class Field:
         object.__setattr__(self, "domain", domain)
         return self
 
-    @classmethod
-    def from_function(cls, domain: Domain, fn) -> "Field":
-        """Sample ``fn(*coords)`` at cell centers."""
-        return cls(np.asarray(fn(*domain.meshgrid()), dtype=np.float64), domain)
-
     def copy(self) -> "Field":
         return Field(self.values.copy(), self.domain)
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def _check_on(f: Field, d: Domain) -> None:

@@ -408,23 +408,23 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
     cfg = replace(cfg, blowup_threshold=_resolve_threshold(
         cfg, float(np.max(state.u.values))))
     start_steps = state.steps
-    series = [_sample(state, 0.0, cfg.series_gamma)]
+    series: list[ObserverSample] = []
     snapshots: list[tuple[float, Field, Field]] = []
-    if capture_fields:
-        snapshots.append((state.t, state.u.copy(), state.v.copy()))
+
+    def observe(state: SimState, dt: float) -> None:
+        series.append(_sample(state, dt, cfg.series_gamma))
+        if capture_fields:
+            snapshots.append((state.t, state.u.copy(), state.v.copy()))
+
+    observe(state, 0.0)
     while state.status is RunStatus.RUNNING:
         if state.steps - start_steps >= cfg.max_steps:
             state = replace(state, status=RunStatus.STALLED_DT)
             break
         prev_t = state.t
         state = step(state, params, cfg)
-        dt = state.t - prev_t
         if state.steps % cfg.observer_stride == 0 or state.status is not RunStatus.RUNNING:
-            series.append(_sample(state, dt, cfg.series_gamma))
-            if capture_fields:
-                snapshots.append((state.t, state.u.copy(), state.v.copy()))
+            observe(state, state.t - prev_t)
     if series[-1].t != state.t or series[-1].status != state.status.value:
-        series.append(_sample(state, 0.0, cfg.series_gamma))
-        if capture_fields:
-            snapshots.append((state.t, state.u.copy(), state.v.copy()))
+        observe(state, 0.0)
     return RunResult(final=state, series=series, snapshots=snapshots)

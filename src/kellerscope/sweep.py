@@ -48,8 +48,8 @@ class SweepSpec:
                 raise ValueError(f"{name} must be nonempty")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly ascending, got {vals}")
-        if any(x <= 0.0 for x in self.chi_values + self.mu_values):
-            raise ValueError("chi and mu values must be positive")
+            if name != "p_values" and vals[0] <= 0.0:
+                raise ValueError(f"{name} must be positive, got {vals}")
         if self.repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {self.repeat}")
         if not self.C_reg > 0.0:

@@ -128,6 +128,25 @@ seed = 3
         <= set(rmap[0].keys())
 
 
+def test_sweep_with_failed_cells_exits_ten(tmp_path, capsys):
+    # negative p cannot be built under the canonical family, so every cell
+    # fails; both CSVs are still written, but the command must not exit 0
+    text = STEADY_CONFIG + """
+[sweep]
+chi_values = 0.5
+mu_values = 2.0, 4.0
+p_values = -1.0
+"""
+    cfg = write(tmp_path, text)
+    out = str(tmp_path / "sweep_out")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 10
+    records = read_csv(os.path.join(out, "records.csv"))
+    assert len(records) == 2
+    assert all(r["note"].startswith("error:") for r in records)
+    assert len(read_csv(os.path.join(out, "regime_map.csv"))) == 2
+    assert "error: 2 of 2 sweep cells failed" in capsys.readouterr().err
+
+
 def test_workers_env_variable(tmp_path, monkeypatch):
     text = STEADY_CONFIG + "\n[sweep]\nchi_values = 0.5\nmu_values = 2.0\n"
     cfg = write(tmp_path, text)

@@ -77,6 +77,12 @@ def test_full_config_round_trip():
     assert cfg.sweep.mu_values == (1.0, 2.0, 4.0)
     again = parse_config(format_config(cfg))
     assert again == cfg
+    # the renamed keys and the other enum value go round the trip too
+    off = parse_config(FULL.replace("reaction = on", "reaction = off")
+                       .replace("phi_family = canonical", "phi_family = linear"))
+    assert off.params.reaction_on is False
+    assert off.params.phi_family is PhiFamily.LINEAR
+    assert parse_config(format_config(off)) == off
 
 
 def test_minimal_round_trip():
@@ -89,6 +95,22 @@ def test_constraint_error_names_key_and_line():
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert any(ln == 3 and "mu" in msg for ln, msg in err.value.problems)
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("[sweep]\nmu_values = 2.0, 1.0\n", [2]),
+    ("[sweep]\nchi_values = -1.0\n", [2]),
+    ("[sweep]\nchi_values = -1.0\nseed = 3\n", [2]),
+    ("[sweep]\nrepeat = 0\n", [2]),
+    ("[sweep]\nc_reg = -1\n", [2]),
+    # a failed [model] must not hide the sweep's own problem
+    ("[model]\nmu = -1\n[sweep]\nrepeat = 0\n", [2, 4]),
+])
+def test_sweep_constraint_error_names_line(text, lines):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert sorted(ln for ln, _ in err.value.problems) == lines
+    assert err.value.problems[-1][1].startswith("[sweep]")
 
 
 def test_duplicate_key_is_an_error_not_last_wins():

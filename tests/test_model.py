@@ -34,9 +34,11 @@ def test_linear_family_forces_p_zero():
 
 def test_canonical_negative_p_rejected_by_lower_bound_scan():
     # (1+s)^p < s^p for every s > 0 when p < 0, so the canonical family
-    # cannot satisfy the required lower bound and must be refused.
-    with pytest.raises(ValueError):
-        params(p=-0.5)
+    # cannot satisfy the required lower bound and must be refused, however
+    # close to zero p is.
+    for p in (-0.5, -1e-13):
+        with pytest.raises(ValueError):
+            params(p=p)
 
 
 # --------------------------------------------------------------------- phi

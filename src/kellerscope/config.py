@@ -9,7 +9,6 @@ number. Lists are comma-separated.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .grid import Domain
@@ -216,25 +215,10 @@ def parse_config(text: str) -> RunConfig:
     # even when a section above failed and is passed on as None
     sweep = build("sweep", SweepSpec, domain=domain, base_params=params,
                   base_cfg=stepper, ic=ic)
-    out_dir = get("output", "out_dir")
-    anchor = _nearest_existing_dir(out_dir)
-    if not os.access(anchor, os.W_OK):
-        problems.append((lineof("output", "out_dir"),
-                         f"[output] out_dir '{out_dir}' is not writable (checked {anchor})"))
     if problems:
         raise ConfigError(problems)
     return RunConfig(domain=domain, params=params, stepper=stepper, ic=ic,
-                     sweep=sweep, out_dir=out_dir)
-
-
-def _nearest_existing_dir(path: str) -> str:
-    probe = os.path.abspath(path)
-    while probe and not os.path.isdir(probe):
-        parent = os.path.dirname(probe)
-        if parent == probe:
-            break
-        probe = parent
-    return probe or os.getcwd()
+                     sweep=sweep, out_dir=get("output", "out_dir"))
 
 
 def format_config(cfg: RunConfig) -> str:

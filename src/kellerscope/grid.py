@@ -107,6 +107,7 @@ class Domain:
                                                   (self.dim,) + (1,) * self.dim))
         object.__setattr__(self, "_gather", _gather(self._axes, self.cells)
                            if self.n_cells <= _GATHER_MAX_CELLS else None)
+        object.__setattr__(self, "_eigen", None)  # see _eigenbasis
 
     @property
     def dim(self) -> int:
@@ -224,6 +225,22 @@ def _divergence(flux: np.ndarray, d: Domain) -> np.ndarray:
 
 def _laplacian(vals: np.ndarray, d: Domain) -> np.ndarray:
     return _divergence((_upper(vals, d) - vals) / d._h, d)
+
+
+def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per axis, the orthonormal DCT-II matrix C and the eigenvalues lam of
+    -lap along it, ``(4/h^2) sin^2(pi m / 2n)``: ``_laplacian`` applies
+    -C.T diag(lam) C along each axis. Built on first use, then cached on
+    the domain (n^2 doubles per axis)."""
+    if d._eigen is None:
+        basis = []
+        for n, h in zip(d.cells, d.spacing):
+            m = np.arange(n)
+            c = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(m, m + 0.5))
+            c[0] /= np.sqrt(2.0)
+            basis.append((c, 4.0 / h**2 * np.sin(np.pi / (2 * n) * m) ** 2))
+        object.__setattr__(d, "_eigen", tuple(basis))
+    return d._eigen
 
 
 def laplacian_neumann(f: Field, d: Domain) -> Field:

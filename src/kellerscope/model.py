@@ -63,8 +63,8 @@ class ModelParams:
         # particular, exactly when p >= 0
         if self.phi_family is PhiFamily.CANONICAL and not self.p >= 0.0:
             raise ValueError(
-                f"canonical diffusivity with p={self.p} falls below k*s**p "
-                f"above s0_phi={self.s0_phi}; this family requires p >= 0"
+                f"p must be >= 0 for canonical diffusivity, got {self.p}: "
+                f"k*(1+s)**p then falls below k*s**p above s0_phi={self.s0_phi}"
             )
 
 

@@ -10,19 +10,20 @@ stability limits; blow-up is detected, never resolved.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .grid import (Domain, Field, _divergence, _face_velocity, _laplacian, _upper,
-                   _upwind_flux, integrate)
+from .grid import (Domain, Field, _divergence, _eigenbasis, _face_velocity, _laplacian,
+                   _upper, _upwind_flux, integrate)
 from .model import ModelParams, _diffusive_flux, _phi
 
 
 class HelmholtzError(RuntimeError):
-    """Iterative solve failed to meet its residual target."""
+    """Helmholtz solve failed to meet its residual target."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (final residual {residual:.3e})")
@@ -64,7 +65,7 @@ class StepperConfig:
     def __post_init__(self):
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError(
-                f"need 0 < dt_min <= dt_init <= dt_max, got "
+                f"dt_min must satisfy 0 < dt_min <= dt_init <= dt_max, got "
                 f"({self.dt_min}, {self.dt_init}, {self.dt_max})"
             )
         if not (0.0 < self.safety <= 1.0):
@@ -121,10 +122,11 @@ def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
                     x0: Field | None = None) -> Field:
     """Solve (alpha*I - lap) w = rhs with the zero-flux Laplacian.
 
-    1D uses direct tridiagonal elimination; 2D runs conjugate gradients on
-    the symmetric positive-definite operator, matrix-free, warm-started from
-    ``x0`` when given (time steppers pass the previous signal). Either way
-    the result satisfies ||(alpha*I - lap) w - rhs||_inf <= tol * ||rhs||_inf.
+    Residual-checked passes of the exact inverse (tridiagonal elimination in
+    1D, the DCT-II eigenbasis in 2D), warm-started from ``x0`` when given
+    (time steppers pass the previous signal), for at most ``maxiter``
+    passes. The result satisfies
+    ||(alpha*I - lap) w - rhs||_inf <= tol * ||rhs||_inf.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -140,77 +142,52 @@ def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
 
 def _solve_helmholtz(rhs: np.ndarray, alpha: float, d: Domain, tol: float,
                      maxiter: int, x0: np.ndarray | None) -> np.ndarray:
-    """Unvalidated core of :func:`solve_helmholtz`. The true residual of the
-    returned solution is computed exactly once and checked against
-    ``tol * max|rhs|``; a miss raises :class:`HelmholtzError`."""
+    """Unvalidated core of :func:`solve_helmholtz`.
+
+    Starts from ``x0`` (or ``rhs/alpha``, exact for constants) and checks the
+    true residual against ``tol * max|rhs|``; until it is met, each pass adds
+    the exact inverse applied to the residual, which removes all but the
+    rounding. A warm start that already meets the target comes back
+    unchanged. Raises :class:`HelmholtzError` when the residual is
+    non-finite, stops shrinking (the target lies below rounding level), or
+    still misses the target after ``maxiter`` passes.
+    """
     scale = float(np.abs(rhs).max())
     if scale == 0.0:
         return np.zeros(d.shape)
-    if d.dim == 1:
-        w = _helmholtz_1d_direct(rhs, alpha, d)
-        res = float(np.abs(_residual(w, rhs, alpha, d)).max())
-    else:
-        w, res = _helmholtz_cg(rhs, alpha, d, tol, scale, maxiter, x0)
-    if not res <= tol * scale:  # also trips on a non-finite residual
-        raise HelmholtzError("Helmholtz solve missed its residual target", res / scale)
-    return w
-
-
-def _residual(x: np.ndarray, rhs: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
-    return rhs - (alpha * x - _laplacian(x, d))
-
-
-def _helmholtz_1d_direct(rhs: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
-    """Tridiagonal elimination with LAPACK ``gtsv``.
-
-    ``scipy.linalg.solve_banded((1, 1), ab, rhs)`` hands the same three
-    diagonals to the same routine, so the result matches it bit for bit;
-    calling ``gtsv`` directly skips the banded-matrix assembly around it.
-    """
-    n = d.cells[0]
-    inv_h2 = 1.0 / d.spacing[0] ** 2
-    diag = np.full(n, alpha + 2.0 * inv_h2)
-    diag[0] = diag[-1] = alpha + inv_h2
-    off = np.full(n - 1, -inv_h2)
-    *_, w, info = dgtsv(off, diag, off, rhs)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return w
-
-
-def _helmholtz_cg(rhs: np.ndarray, alpha: float, d: Domain, tol: float, scale: float,
-                  maxiter: int, x0: np.ndarray | None) -> tuple[np.ndarray, float]:
-    """Conjugate gradients until the sup-norm residual is within
-    ``tol * scale``, where ``scale`` is max|rhs|.
-
-    Returns the iterate and the sup norm of its true residual: when the
-    warm start already meets the target that is the residual just checked,
-    otherwise it is recomputed once after the recurrence has converged.
-    """
-    target = tol * scale
-    x = (rhs / alpha) if x0 is None else x0.copy()  # rhs/alpha: exact for constants
-    r = _residual(x, rhs, alpha, d)
-    res = float(np.abs(r).max())
-    if res <= target:
-        return x, res
-    p = r.copy()
-    rs = float(np.vdot(r, r))
-    for _ in range(maxiter):
-        ap = alpha * p - _laplacian(p, d)
-        a = rs / float(np.vdot(p, ap))
-        x += a * p
-        r -= a * ap
+    x = (rhs / alpha) if x0 is None else x0.copy()
+    last = math.inf
+    for passes in itertools.count():
+        r = rhs - (alpha * x - _laplacian(x, d))
         res = float(np.abs(r).max())
-        if res <= target:
-            return x, float(np.abs(_residual(x, rhs, alpha, d)).max())
-        rs_new = float(np.vdot(r, r))
-        if not math.isfinite(rs_new):
-            raise HelmholtzError("conjugate gradients hit non-finite values",
-                                 res / scale)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise HelmholtzError(f"conjugate gradients did not converge in {maxiter} iterations",
-                         res / scale)
+        if res <= tol * scale:
+            return x
+        if not res < last or passes >= maxiter:  # also trips on a non-finite residual
+            raise HelmholtzError(f"Helmholtz solve missed its residual target "
+                                 f"after {passes} passes", res / scale)
+        last = res
+        x += _helmholtz_inverse(r, alpha, d)
+
+
+def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
+    """(alpha*I - lap)^-1 r, exact up to rounding.
+
+    1D eliminates the tridiagonal matrix with LAPACK ``gtsv``. 2D transforms
+    into the Laplacian's eigenbasis (see ``grid._eigenbasis``), divides by
+    the eigenvalues of alpha*I - lap and transforms back: four matmuls.
+    """
+    if d.dim == 1:
+        n = d.cells[0]
+        inv_h2 = 1.0 / d.spacing[0] ** 2
+        diag = np.full(n, alpha + 2.0 * inv_h2)
+        diag[0] = diag[-1] = alpha + inv_h2
+        off = np.full(n - 1, -inv_h2)
+        *_, w, info = dgtsv(off, diag, off, r)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return w
+    (c0, lam0), (c1, lam1) = _eigenbasis(d)
+    return c0.T @ ((c0 @ r @ c1.T) / (alpha + lam0[:, None] + lam1)) @ c1
 
 
 def _dt_limit(u_max: float, w: np.ndarray, params: ModelParams, d: Domain,
@@ -308,7 +285,7 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
                                    status=RunStatus.BLOWUP)
                 raise
             # the exact solve maps nonnegative data to a nonnegative signal;
-            # iterative residual noise may undershoot by up to the solve tolerance
+            # residual noise may undershoot by up to the solve tolerance
             v_new, v_lo, v_hi = _clamp_roundoff(
                 v_new, band=max(1.0e-13, 10.0 * cfg.helmholtz_tol))
             w = _face_velocity(v_new, params.chi, d)

@@ -52,6 +52,8 @@ class SweepSpec:
                 raise ValueError(f"{name} must be positive, got {vals}")
         if self.repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {self.repeat}")
+        if self.gamma0 is not None and not self.gamma0 > 1.0:
+            raise ValueError(f"gamma0 must exceed 1, got {self.gamma0}")
         if not self.C_reg > 0.0:
             raise ValueError(f"C_reg must be positive, got {self.C_reg}")
 
@@ -121,16 +123,15 @@ def _cell_params(spec: SweepSpec, chi: float, mu: float, p: float) -> ModelParam
 
 def _execute(task: _Task) -> RunRecord:
     spec = task.spec
+    prediction = TheoryRegime.CRITICAL_UNDETERMINED
+    start = time.perf_counter()
     try:
+        # theta0 overflows for extreme chi, e.g. 1e100: an error cell
         theta_est, _ = theta0(spec.effective_gamma0(), task.chi, spec.C_reg)
         prediction = classify_theory(
             p=task.p, q=1.0, n=max(2, spec.domain.dim),
             chi=task.chi, mu=task.mu, theta0_est=theta_est,
         )
-    except Exception:
-        prediction = TheoryRegime.CRITICAL_UNDETERMINED
-    start = time.perf_counter()
-    try:
         params = _cell_params(spec, task.chi, task.mu, task.p)
         rng = np.random.default_rng([spec.seed, task.index])
         perturbation = REPLICA_PERTURBATION if task.replica > 0 else 0.0

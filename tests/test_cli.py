@@ -90,6 +90,14 @@ def test_invalid_config_exit_ten(tmp_path, capsys):
     assert "mu" in err and "line" in err
 
 
+def test_run_ignores_unwritable_config_out_dir_when_out_given(tmp_path, monkeypatch):
+    # the config's out_dir is never used, so it must not be probed
+    cfg = write(tmp_path, STEADY_CONFIG + "\n[output]\nout_dir = /nonexistent/x\n")
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert os.path.exists(tmp_path / "series.csv")
+
+
 def test_theta0_row_golden(capsys):
     assert main(["theta0", "3", "1", "2"]) == 0
     row = capsys.readouterr().out.strip().split(",")

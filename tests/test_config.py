@@ -91,10 +91,13 @@ def test_minimal_round_trip():
 
 
 def test_constraint_error_names_key_and_line():
-    text = "[model]\ntau = 1.0\nmu = -1\n"
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert any(ln == 3 and "mu" in msg for ln, msg in err.value.problems)
+    for text, line, key in (("[model]\ntau = 1.0\nmu = -1\n", 3, "mu"),
+                            ("[model]\np = -1\ntau = 1.0\n", 2, "p"),
+                            ("[stepper]\ndt_min = 1.0\ndt_max = 2.0\nt_end = 3.0\n",
+                             2, "dt_min")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert any(ln == line and key in msg for ln, msg in err.value.problems), text
 
 
 @pytest.mark.parametrize("text, lines", [
@@ -105,6 +108,7 @@ def test_constraint_error_names_key_and_line():
     ("[sweep]\nc_reg = -1\n", [2]),
     # a failed [model] must not hide the sweep's own problem
     ("[model]\nmu = -1\n[sweep]\nrepeat = 0\n", [2, 4]),
+    ("[sweep]\ngamma0 = 0.5\n", [2]),
 ])
 def test_sweep_constraint_error_names_line(text, lines):
     with pytest.raises(ConfigError) as err:

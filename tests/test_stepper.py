@@ -5,8 +5,8 @@ import pytest
 
 from kellerscope import (Domain, Field, HelmholtzError, ModelParams, RunStatus,
                          SimState, StepperConfig, integrate, run, run_state,
-                         solve_helmholtz, stable_dt, step)
-from kellerscope.grid import laplacian_neumann
+                         solve_helmholtz, stable_dt, step, stepper)
+from kellerscope.grid import _laplacian, laplacian_neumann
 from kellerscope.ic import ICSpec, build_ic
 
 
@@ -51,12 +51,12 @@ def test_helmholtz_three_cell_dense_oracle():
 
 
 def test_helmholtz_matches_dense_solver_2d():
-    d = Domain((1.0, 1.5), (5, 4))
-    rng = np.random.default_rng(12)
-    rhs = rng.standard_normal(d.shape)
-    w = solve_helmholtz(Field(rhs, d), 2.7, d)
-    want = np.linalg.solve(dense_helmholtz_matrix(2.7, d), rhs.ravel())
-    assert np.allclose(w.values.ravel(), want, atol=1e-10)
+    for d in (Domain((1.0, 1.5), (5, 4)), Domain((1.2, 0.7), (12, 7))):
+        rng = np.random.default_rng(12)
+        rhs = rng.standard_normal(d.shape)
+        w = solve_helmholtz(Field(rhs, d), 2.7, d)
+        want = np.linalg.solve(dense_helmholtz_matrix(2.7, d), rhs.ravel())
+        assert np.allclose(w.values.ravel(), want, atol=1e-10)
 
 
 def test_helmholtz_residual_contract():
@@ -75,6 +75,32 @@ def test_helmholtz_iteration_budget_error():
     with pytest.raises(HelmholtzError) as err:
         solve_helmholtz(rhs, 1e-6, d, tol=1e-14, maxiter=2)
     assert err.value.residual > 0.0
+
+
+@pytest.mark.parametrize("d, alpha, tol, seed", [
+    (Domain((1.0, 1.0), (16, 16)), 1e-6, 1e-14, 4),
+    (Domain((1.0,), (3000,)), 2.5, 1e-10, 0),   # target below rounding level
+])
+def test_helmholtz_out_of_reach_target_fails_fast(monkeypatch, d, alpha, tol, seed):
+    calls = []
+
+    def counted(x, dom):
+        calls.append(1)
+        return _laplacian(x, dom)
+
+    monkeypatch.setattr(stepper, "_laplacian", counted)
+    rhs = Field(np.random.default_rng(seed).random(d.shape), d)
+    with pytest.raises(HelmholtzError):
+        solve_helmholtz(rhs, alpha, d, tol=tol)
+    assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("d", [Domain((1.3,), (17,)), Domain((1.0, 1.0), (9, 11))])
+def test_helmholtz_returns_solving_warm_start_unchanged(d):
+    g = Field(np.random.default_rng(5).standard_normal(d.shape), d)
+    rhs = Field(1.5 * g.values - laplacian_neumann(g, d).values, d)  # exact residual 0
+    w = solve_helmholtz(rhs, 1.5, d, x0=g)
+    assert np.array_equal(w.values, g.values)
 
 
 def test_helmholtz_rejects_nonpositive_alpha():

@@ -121,6 +121,13 @@ def test_sweep_records_failures_as_undecided():
     assert len(records) == 4
     assert all(r.outcome is RunOutcome.UNDECIDED for r in records)
     assert all("error" in r.note for r in records)
+    # theta0 overflows at this chi: an error cell, not a silent
+    # CriticalUndetermined prediction
+    spec = small_spec(chi_values=(1e100,), mu_values=(2.0,), repeat=1,
+                      ic=ICSpec("constant", 0.5, 0.1))
+    [record] = run_sweep(spec, workers=1)
+    assert record.outcome is RunOutcome.UNDECIDED
+    assert record.note.startswith("error:")
 
 
 # -------------------------------------------------------------- regime_map

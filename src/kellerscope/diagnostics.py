@@ -159,17 +159,22 @@ def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
                    weight_ref_time: float | None = None) -> float:
     """Empirical lower bound on the maximal regularity constant.
 
-    From uniformly spaced trajectory samples (t, u, v) starting at
-    ``s0_time``, accumulates the exponentially weighted space-time integrals
+    From trajectory samples (t, u, v) at strictly increasing times starting
+    at ``s0_time``, accumulates the exponentially weighted space-time
+    integrals
 
-        LHS = sum_t e^{(r/tau)(t - T)} * integral(|lap v|^r) * dt
-        DEN = sum_t e^{(r/tau)(t - T)} * integral(u^r) * dt
+        LHS = sum_i e^{(r/tau)(t_i - T)} * integral(|lap v|^r) * dt_i
+        DEN = sum_i e^{(r/tau)(t_i - T)} * integral(u^r) * dt_i
               + tau * e^{(r/tau)(s0 - T)} * (||v(s0)||_r^r + ||lap v(s0)||_r^r)
 
-    and returns LHS / DEN. Weights are referenced to the final time T so the
-    common factor e^{(r/tau) T} cancels instead of overflowing; any other
-    reference time gives the identical ratio (``weight_ref_time`` exists to
-    let callers verify exactly that).
+    and returns LHS / DEN. Each sample is weighted by its own interval,
+    ``dt_i = t_{i+1} - t_i``, and the last one by the interval before it, so
+    uniform spacing dt gives every sample the weight dt; the uneven sample
+    times of an adaptive-dt run (one sample every few steps) need no
+    resampling. The exponential weights are referenced to the final time T
+    so the common factor e^{(r/tau) T} cancels instead of overflowing; any
+    other reference time gives the identical ratio (``weight_ref_time``
+    exists to let callers verify exactly that).
     """
     if not r > 1.0:
         raise ValueError(f"r must exceed 1, got {r}")
@@ -177,9 +182,9 @@ def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
         raise ValueError("need at least 2 samples to integrate in time")
     times = np.array([s[0] for s in samples], dtype=np.float64)
     dts = np.diff(times)
-    dt = float(dts[0])
-    if dt <= 0.0 or np.max(np.abs(dts - dt)) > 1.0e-9 * dt:
-        raise ValueError("samples must be uniformly spaced in time")
+    if not np.all(dts > 0.0):
+        raise ValueError("sample times must be strictly increasing")
+    dts = np.append(dts, dts[-1]).tolist()
     if abs(times[0] - s0_time) > 1.0e-9 * max(1.0, abs(times[-1])):
         raise ValueError(
             f"first sample at t={times[0]} does not match s0_time={s0_time}"
@@ -190,7 +195,7 @@ def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
 
     lhs = 0.0
     den = 0.0
-    for t, u, v in samples:
+    for (t, u, v), dt in zip(samples, dts):
         w = math.exp(rate * (t - t_ref))
         lap_v = laplacian_neumann(v, d)
         lhs += w * integrate(Field(np.abs(lap_v.values) ** r, d), d) * dt

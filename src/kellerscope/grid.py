@@ -190,10 +190,16 @@ def _upper(vals: np.ndarray, d: Domain) -> np.ndarray:
     return _upper_slices(vals, d._axes)
 
 
+def _grad(vals: np.ndarray, d: Domain) -> np.ndarray:
+    """Face gradient, stacked per axis: entry ``[k][c]`` is
+    ``(vals[c + e_k] - vals[c]) / h_k`` on the face between c and c + e_k,
+    zero on the upper wall."""
+    return (_upper(vals, d) - vals) / d._h
+
+
 def _face_velocity(v: np.ndarray, chi: float, d: Domain) -> np.ndarray:
-    """Chemotactic face velocity chi * grad(v), stacked per axis; entry
-    ``[k][c]`` sits on the face between c and c + e_k (zero on the upper wall)."""
-    return chi * (_upper(v, d) - v) / d._h
+    """Chemotactic face velocity chi * grad(v) (see :func:`_grad`)."""
+    return chi * _grad(v, d)
 
 
 def _upwind_flux(u: np.ndarray, u_up: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -224,7 +230,7 @@ def _divergence(flux: np.ndarray, d: Domain) -> np.ndarray:
 
 
 def _laplacian(vals: np.ndarray, d: Domain) -> np.ndarray:
-    return _divergence((_upper(vals, d) - vals) / d._h, d)
+    return _divergence(_grad(vals, d), d)
 
 
 def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .grid import (Domain, Field, _divergence, _eigenbasis, _face_velocity, _laplacian,
+from .grid import (Domain, Field, _divergence, _eigenbasis, _face_velocity, _grad,
                    _upper, _upwind_flux, integrate)
 from .model import ModelParams, _diffusive_flux, _phi
 
@@ -82,7 +82,14 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Snapshot of a simulation: time, both fields, bookkeeping."""
+    """Snapshot of a simulation: time, both fields, bookkeeping.
+
+    A state made by :func:`step` carries its signal's face gradient and
+    Laplacian to the next step; any other way of building a state
+    (``SimState(...)``, ``dataclasses.replace``, a snapshot read) starts
+    without them and the next step recomputes them. A state's arrays must
+    therefore not be mutated in place.
+    """
 
     t: float
     u: Field
@@ -90,6 +97,9 @@ class SimState:
     steps: int = 0
     status: RunStatus = RunStatus.RUNNING
     stall_steps: int = 0   # consecutive dt-pinned steps with growing sup-norm
+    # (grad v, lap v) from the step that made this state; see _stencil
+    _ops: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def domain(self) -> Domain:
@@ -135,13 +145,24 @@ def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
     # near-overflow fields pass through here on the way to blow-up
     # detection; let the non-finite values propagate silently
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _solve_helmholtz(rhs.values, alpha, d, tol, maxiter,
-                             None if x0 is None else x0.values)
+        w, _, _ = _solve_helmholtz(rhs.values, alpha, d, tol, maxiter,
+                                   None if x0 is None else x0.values)
     return Field(w, d)
 
 
+def _stencil(v: np.ndarray, d: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """Face gradient and Laplacian of a signal: the one stencil pass a
+    signal state needs, and the only place the signal solve takes a
+    Laplacian. The gradient is already zero on the upper walls, so the
+    divergence leaves it as it is (for finite ``v``)."""
+    g = _grad(v, d)
+    return g, _divergence(g, d)
+
+
 def _solve_helmholtz(rhs: np.ndarray, alpha: float, d: Domain, tol: float,
-                     maxiter: int, x0: np.ndarray | None) -> np.ndarray:
+                     maxiter: int, x0: np.ndarray | None,
+                     ops0: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unvalidated core of :func:`solve_helmholtz`.
 
     Starts from ``x0`` (or ``rhs/alpha``, exact for constants) and checks the
@@ -151,22 +172,29 @@ def _solve_helmholtz(rhs: np.ndarray, alpha: float, d: Domain, tol: float,
     unchanged. Raises :class:`HelmholtzError` when the residual is
     non-finite, stops shrinking (the target lies below rounding level), or
     still misses the target after ``maxiter`` passes.
+
+    ``ops0`` is the known ``_stencil`` of ``x0``, which spares the warm
+    start's residual its stencil pass. Returns the solution with its own
+    ``_stencil``, the one the last residual check used.
     """
     scale = float(np.abs(rhs).max())
     if scale == 0.0:
-        return np.zeros(d.shape)
-    x = (rhs / alpha) if x0 is None else x0.copy()
+        x = np.zeros(d.shape)
+        return (x, *_stencil(x, d))
+    x, ops = (rhs / alpha, None) if x0 is None else (x0.copy(), ops0)
     last = math.inf
     for passes in itertools.count():
-        r = rhs - (alpha * x - _laplacian(x, d))
+        g, lap = _stencil(x, d) if ops is None else ops
+        r = rhs - (alpha * x - lap)
         res = float(np.abs(r).max())
         if res <= tol * scale:
-            return x
+            return x, g, lap
         if not res < last or passes >= maxiter:  # also trips on a non-finite residual
             raise HelmholtzError(f"Helmholtz solve missed its residual target "
                                  f"after {passes} passes", res / scale)
         last = res
         x += _helmholtz_inverse(r, alpha, d)
+        ops = None
 
 
 def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
@@ -260,8 +288,8 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
 
     # overflow is legitimate anywhere below: it surfaces as a BlowUp status
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _face_velocity(v_old, params.chi, d)
-        dt = _clip_dt(_dt_limit(u_max, w, params, d, cfg), cfg)
+        ops_old = _stencil(v_old, d) if state._ops is None else state._ops
+        dt = _clip_dt(_dt_limit(u_max, params.chi * ops_old[0], params, d, cfg), cfg)
         if state.steps == 0:
             dt = min(dt, cfg.dt_init)
         dt = min(dt, remaining)
@@ -274,9 +302,9 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
         while True:
             rhs = (params.tau / dt) * v_old + u_old
             try:
-                v_new = _solve_helmholtz(rhs, params.tau / dt + 1.0, d,
-                                         cfg.helmholtz_tol, cfg.helmholtz_maxiter,
-                                         v_old)
+                solved, g, lap = _solve_helmholtz(
+                    rhs, params.tau / dt + 1.0, d, cfg.helmholtz_tol,
+                    cfg.helmholtz_maxiter, v_old, ops_old)
             except HelmholtzError as exc:
                 if not math.isfinite(exc.residual):
                     # arithmetic overflow from astronomically large fields:
@@ -287,8 +315,10 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
             # the exact solve maps nonnegative data to a nonnegative signal;
             # residual noise may undershoot by up to the solve tolerance
             v_new, v_lo, v_hi = _clamp_roundoff(
-                v_new, band=max(1.0e-13, 10.0 * cfg.helmholtz_tol))
-            w = _face_velocity(v_new, params.chi, d)
+                solved, band=max(1.0e-13, 10.0 * cfg.helmholtz_tol))
+            if v_new is not solved:
+                g, lap = _stencil(v_new, d)
+            w = params.chi * g
             dt_pos = _dt_limit(u_max, w, params, d, cfg)
             attempts += 1
             if dt <= dt_pos or dt <= cfg.dt_min or attempts >= 5:
@@ -323,7 +353,7 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
             status = RunStatus.STALLED_DT
         elif t_new >= cfg.t_end - 1.0e-12 * cfg.t_end:
             status = RunStatus.FINISHED
-    return SimState(
+    new = SimState(
         t=t_new,
         u=Field._wrap(u_new, d),
         v=Field._wrap(v_new, d),
@@ -331,6 +361,8 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
         status=status,
         stall_steps=stall,
     )
+    object.__setattr__(new, "_ops", (g, lap))
+    return new
 
 
 def _clamp_roundoff(vals: np.ndarray, band: float = 1.0e-13
@@ -338,8 +370,9 @@ def _clamp_roundoff(vals: np.ndarray, band: float = 1.0e-13
     """Zero out negatives attributable to numerical noise within ``band``
     (relative to the field scale); leave anything larger alone.
 
-    Returns the values with the minimum and maximum of the input; a NaN or
-    infinite entry shows up in one of the two.
+    Returns the values (the input array itself when nothing was clamped)
+    with the minimum and maximum of the input; a NaN or infinite entry shows
+    up in one of the two.
     """
     lo, hi = float(vals.min()), float(vals.max())
     if lo < 0.0 and lo >= -band * max(1.0, hi, -lo):

@@ -237,6 +237,7 @@ def test_criterion_6_explicit_constants(capsys):
 
 # --------------------------------------------------------------- criterion 7
 
+@pytest.mark.slow
 def test_criterion_7_damped_regime_bounded():
     with criterion(7, "damped 2d regime bounded + refinement", 600.0):
         shared = dict(tau=1.0, chi=1.0, a=4.0, k=1.0, phi_family="linear")

@@ -169,17 +169,46 @@ def test_estimate_c_reg_steady_state_is_zero():
     assert estimate_c_reg(samples, 2.0, p, 0.2) == 0.0
 
 
-def test_estimate_c_reg_requires_two_samples_and_uniform_spacing():
+def test_estimate_c_reg_requires_two_samples_and_increasing_times():
     d = Domain((1.0,), (8,))
     p = ModelParams(tau=1.0, chi=1.0, mu=1.0)
     f = Field.constant(d, 1.0)
     with pytest.raises(ValueError):
         estimate_c_reg([(0.0, f, f)], 2.0, p, 0.0)
-    bad = [(0.0, f, f), (0.1, f, f), (0.3, f, f)]
-    with pytest.raises(ValueError):
-        estimate_c_reg(bad, 2.0, p, 0.0)
+    for times in ((0.0, 0.1, 0.1), (0.0, 0.2, 0.1)):
+        with pytest.raises(ValueError):
+            estimate_c_reg([(t, f, f) for t in times], 2.0, p, 0.0)
     with pytest.raises(ValueError):
         estimate_c_reg([(0.0, f, f), (0.1, f, f)], 1.0, p, 0.0)
+
+
+def test_estimate_c_reg_weights_each_sample_by_its_interval():
+    # h = 1: v = (0, 1, 0) has lap v = (1, -2, 1), so integral |lap v|^2 = 6,
+    # integral v^2 = 1 and integral u^2 = 3 for u = 1; the samples at
+    # 0, 0.1, 0.3 weigh 0.1, 0.2 and (the last interval again) 0.2
+    d = Domain((3.0,), (3,))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0)
+    u, v = Field.constant(d, 1.0), Field(np.array([0.0, 1.0, 0.0]), d)
+    samples = [(t, u, v) for t in (0.0, 0.1, 0.3)]
+    s = sum(math.exp(2.0 * (t - 0.3)) * w for t, w in ((0.0, 0.1), (0.1, 0.2), (0.3, 0.2)))
+    want = 6.0 * s / (3.0 * s + math.exp(-0.6) * (1.0 + 6.0))
+    assert estimate_c_reg(samples, 2.0, p, 0.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_estimate_c_reg_accepts_adaptive_dt_run():
+    d = Domain((1.0, 1.0), (16, 16))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0, k=1.0, phi_family="linear")
+    u0, v0 = build_ic(ICSpec("gaussian_bump", 3.0, 0.15), d)
+    cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=1e-2, t_end=0.3,
+                        observer_stride=5, blowup_threshold=1e6)
+    res = run(u0, v0, p, cfg, capture_fields=True)
+    assert res.final.steps >= 200
+    gaps = np.diff([t for t, _, _ in res.snapshots])
+    assert gaps.max() > 1.1 * gaps.min()     # sampled at uneven times
+    r = estimate_c_reg(res.snapshots, 2.0, p, 0.0)
+    assert 0.0 < r < math.inf
+    shifted = estimate_c_reg(res.snapshots, 2.0, p, 0.0, weight_ref_time=0.0)
+    assert shifted == pytest.approx(r, rel=1e-12)
 
 
 def test_estimate_c_reg_zero_forcing_inconsistency():

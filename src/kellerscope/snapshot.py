@@ -12,6 +12,8 @@ exact same bits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import Domain, Field
@@ -56,8 +58,10 @@ def write_snapshot(state: SimState, path: str) -> None:
 def read_snapshot(path: str, domain: Domain) -> SimState:
     """Read a snapshot written for ``domain``; returns a Running state.
 
-    Raises SnapshotError on a bad magic, an unsupported dimension, a grid
-    mismatch against the expected domain, or a short/overlong file.
+    Raises SnapshotError on a bad magic, an unsupported dimension, a clock
+    that no run can reach (a non-finite or negative ``t``, a negative
+    ``steps``), a grid mismatch against the expected domain, or a
+    short/overlong file.
     """
     with open(path, "rb") as fh:
         raw = fh.read(HEADER_BYTES)
@@ -81,8 +85,11 @@ def read_snapshot(path: str, domain: Domain) -> SimState:
             ny = int(fields["ny"])
             t = float.fromhex(fields["t"])
             steps = int(fields["steps"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, OverflowError) as exc:
             raise SnapshotError(f"malformed header {header.strip()!r}: {exc}") from exc
+        if not (math.isfinite(t) and t >= 0.0) or steps < 0:
+            raise SnapshotError(f"impossible clock t={t!r} steps={steps}: a run "
+                                f"starts at t=0, steps=0 and counts up")
         if dim not in (1, 2):
             raise SnapshotError(f"unsupported dimension {dim}")
         shape = (nx,) if dim == 1 else (nx, ny)

@@ -5,17 +5,22 @@ with the zero-flux Laplacian), then the density explicitly against the fresh
 signal, with the quadratic sink treated semi-implicitly so the update can
 never produce a negative density on its own. Step size comes from explicit
 stability limits; blow-up is detected, never resolved.
+
+The 1D signal solve calls LAPACK ``dgtsv`` from scipy. Loading
+``scipy.linalg`` costs more start-up time than the rest of the package, so
+it is imported on the first 1D solve and kept (see :func:`_gtsv`); a 2D run
+never loads it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .grid import (Domain, Field, _divergence, _eigenbasis, _face_velocity, _grad,
                    _upper, _upwind_flux, integrate)
@@ -210,12 +215,19 @@ def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
         diag = np.full(n, alpha + 2.0 * inv_h2)
         diag[0] = diag[-1] = alpha + inv_h2
         off = np.full(n - 1, -inv_h2)
-        *_, w, info = dgtsv(off, diag, off, r)
+        *_, w, info = _gtsv()(off, diag, off, r)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         return w
     (c0, lam0), (c1, lam1) = _eigenbasis(d)
     return c0.T @ ((c0 @ r @ c1.T) / (alpha + lam0[:, None] + lam1)) @ c1
+
+
+@functools.cache
+def _gtsv():
+    """LAPACK ``dgtsv``, imported on the first call and kept."""
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
 
 
 def _dt_limit(u_max: float, w: np.ndarray, params: ModelParams, d: Domain,

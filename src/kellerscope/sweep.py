@@ -9,7 +9,6 @@ blowing-up replica falsifies a boundedness claim for that cell.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -19,7 +18,7 @@ from .diagnostics import RunOutcome, TheoryRegime, classify_run, classify_theory
 from .grid import Domain
 from .ic import ICSpec, build_ic
 from .model import ModelParams
-from .stepper import StepperConfig, run
+from .stepper import StepperConfig, _gtsv, run
 
 REPLICA_PERTURBATION = 0.05
 
@@ -148,14 +147,21 @@ def _execute(task: _Task) -> RunRecord:
             wall_time=time.perf_counter() - start,
         )
     except Exception as exc:  # a failed cell must not abort the sweep
-        return RunRecord(
-            chi=task.chi, mu=task.mu, p=task.p, replica=task.replica,
-            params=spec.base_params,
-            outcome=RunOutcome.UNDECIDED,
-            theory_prediction=prediction,
-            note=f"error: {exc}",
-            wall_time=time.perf_counter() - start,
-        )
+        return _failed(task, exc, prediction, time.perf_counter() - start)
+
+
+def _failed(task: _Task, exc: BaseException,
+            prediction: TheoryRegime = TheoryRegime.CRITICAL_UNDETERMINED,
+            wall_time: float = 0.0) -> RunRecord:
+    """The Undecided record of a cell that raised or whose worker died."""
+    return RunRecord(
+        chi=task.chi, mu=task.mu, p=task.p, replica=task.replica,
+        params=task.spec.base_params,
+        outcome=RunOutcome.UNDECIDED,
+        theory_prediction=prediction,
+        note=f"error: {exc}",
+        wall_time=wall_time,
+    )
 
 
 def _tasks(spec: SweepSpec) -> list[_Task]:
@@ -172,15 +178,31 @@ def _tasks(spec: SweepSpec) -> list[_Task]:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     """Execute every cell replica; records come back in lexicographic
-    (chi, mu, p, replica) order no matter how many workers ran them."""
+    (chi, mu, p, replica) order no matter how many workers ran them.
+
+    A worker process that dies (killed, out of memory) breaks the pool: the
+    records finished before that are kept, and every cell the pool lost
+    comes back Undecided with an ``error:`` note, as a cell that raised.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = _tasks(spec)
     if workers == 1 or len(tasks) == 1:
-        records = [_execute(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_execute, tasks))
+        return [_execute(t) for t in tasks]
+    # only a pool needs the process machinery, so only a pool imports it
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if spec.domain.dim == 1:
+        _gtsv()   # forked workers inherit LAPACK instead of each loading it
+    records = []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_execute, t) for t in tasks]
+        for task, future in zip(tasks, futures):
+            try:
+                records.append(future.result())
+            except BrokenProcessPool as exc:
+                records.append(_failed(task, exc))
     return records  # task construction order is already lexicographic
 
 

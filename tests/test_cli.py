@@ -2,10 +2,14 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kellerscope
+from kellerscope import sweep
 from kellerscope.cli import main
 
 STEADY_CONFIG = """\
@@ -153,6 +157,66 @@ p_values = -1.0
     assert all(r["note"].startswith("error:") for r in records)
     assert len(read_csv(os.path.join(out, "regime_map.csv"))) == 2
     assert "error: 2 of 2 sweep cells failed" in capsys.readouterr().err
+
+
+def test_sweep_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
+    # one cell's worker process dies (as when it is killed or runs out of
+    # memory): the finished cells are kept, the lost ones are error cells,
+    # both CSVs are written and the command exits 10
+    text = STEADY_CONFIG + """
+[sweep]
+chi_values = 0.5, 1.0
+mu_values = 2.0, 4.0
+"""
+    cfg = write(tmp_path, text)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    serial = read_csv(tmp_path / "serial" / "records.csv")
+    capsys.readouterr()
+    real_run = sweep.run
+
+    def run_or_die(u0, v0, params, cfg):
+        if params.chi == 1.0 and params.mu == 4.0:
+            os._exit(1)   # workers are forked, so they call this
+        return real_run(u0, v0, params, cfg)
+
+    monkeypatch.setattr(sweep, "run", run_or_die)
+    out = tmp_path / "pool"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "2"]) == 10
+    records = read_csv(out / "records.csv")
+    assert [(r["chi"], r["mu"]) for r in records] == [(r["chi"], r["mu"]) for r in serial]
+    lost = [r for r in records if r["note"]]
+    assert records[-1] in lost
+    assert all(r["note"].startswith("error:") and r["outcome"] == "Undecided"
+               for r in lost)
+    assert len(lost) < len(records)   # at least the first cell finished
+    for got, want in zip(records, serial):
+        if not got["note"]:
+            assert got == want
+    assert len(read_csv(out / "regime_map.csv")) == 4
+    assert f"error: {len(lost)} of 4 sweep cells failed" in capsys.readouterr().err
+
+
+def test_cli_import_loads_neither_scipy_nor_the_process_pool():
+    # scipy.linalg only serves the 1D signal solve and the process pool only
+    # a sweep with workers; neither belongs in the start-up of every command
+    code = """
+import sys
+import numpy as np
+import kellerscope.cli
+from kellerscope import Domain, Field, solve_helmholtz
+loaded = [m for m in ("scipy", "concurrent.futures.process") if m in sys.modules]
+assert not loaded, loaded
+d = Domain((1.0,), (16,))
+w = solve_helmholtz(Field(np.linspace(0.0, 1.0, 16), d), 2.5, d)
+assert np.all(np.isfinite(w.values))
+assert "scipy.linalg.lapack" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(kellerscope.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_workers_env_variable(tmp_path, monkeypatch):

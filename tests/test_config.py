@@ -1,8 +1,13 @@
 """Strict config parsing: defaults, errors with line numbers, round-trip."""
 
-import pytest
+import string
 
-from kellerscope.config import ConfigError, format_config, parse_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kellerscope import Domain, ICSpec, ModelParams, StepperConfig, SweepSpec
+from kellerscope.config import ConfigError, RunConfig, format_config, parse_config
 from kellerscope.ic import ICName
 from kellerscope.model import PhiFamily
 
@@ -176,3 +181,54 @@ def test_2d_scalar_lengths_broadcast():
 def test_dimension_axis_mismatch_rejected():
     with pytest.raises(ConfigError):
         parse_config("[domain]\ndim = 1\nlengths = 1.0, 2.0\ncells = 8, 8\n")
+
+
+_POS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NONNEG = st.floats(min_value=0.0, allow_infinity=False)
+_ABOVE_ONE = st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
+
+
+def _ascending(elements):
+    return st.lists(elements, min_size=1, max_size=4, unique=True).map(
+        lambda xs: tuple(sorted(xs)))
+
+
+@st.composite
+def run_configs(draw):
+    """Any config parse_config can produce; floats over their whole range."""
+    dim = draw(st.sampled_from([1, 2]))
+    domain = Domain(tuple(draw(st.floats(1e-3, 1e3)) for _ in range(dim)),
+                    tuple(draw(st.integers(3, 12)) for _ in range(dim)))
+    params = ModelParams(
+        tau=draw(_POS), chi=draw(_POS), mu=draw(_POS), a=draw(_NONNEG),
+        k=draw(_POS), p=draw(_NONNEG), s0_phi=draw(_ABOVE_ONE),
+        phi_family=draw(st.sampled_from(PhiFamily)), reaction_on=draw(st.booleans()))
+    dt_min, dt_init, dt_max = sorted(draw(st.lists(_POS, min_size=3, max_size=3)))
+    stepper = StepperConfig(
+        dt_init=dt_init, dt_min=dt_min, dt_max=dt_max,
+        safety=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        blowup_threshold=draw(st.none() | _ABOVE_ONE), t_end=draw(_POS),
+        observer_stride=draw(st.integers(1, 10**6)),
+        series_gamma=draw(st.floats(1.0, 1e3)),
+        stall_patience=draw(st.integers(0, 10**4)),
+        max_steps=draw(st.integers(1, 10**9)), helmholtz_tol=draw(_POS),
+        helmholtz_maxiter=draw(st.integers(1, 10**5)))
+    ic = ICSpec(draw(st.sampled_from(ICName)), draw(_NONNEG), draw(_POS))
+    sweep = SweepSpec(
+        domain=domain, chi_values=draw(_ascending(_POS)),
+        mu_values=draw(_ascending(_POS)),
+        p_values=draw(_ascending(st.floats(allow_nan=False, allow_infinity=False))),
+        base_params=params, base_cfg=stepper, ic=ic,
+        repeat=draw(st.integers(1, 100)), seed=draw(st.integers(0, 2**63)),
+        gamma0=draw(st.none() | _ABOVE_ONE), C_reg=draw(_POS))
+    # the format has no escapes: '#' starts a comment, and the value is stripped
+    out_dir = draw(st.text(string.ascii_letters + string.digits + "_-./",
+                           min_size=1, max_size=16))
+    return RunConfig(domain=domain, params=params, stepper=stepper, ic=ic,
+                     sweep=sweep, out_dir=out_dir)
+
+
+@settings(max_examples=60)
+@given(cfg=run_configs())
+def test_format_parse_round_trip_property(cfg):
+    assert parse_config(format_config(cfg)) == cfg

@@ -6,6 +6,8 @@ cells and faces, independent of the vectorized implementations they check.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellerscope import (Domain, Field, GridShapeError, ModelParams,
                          chemotactic_divergence, diffusive_divergence,
@@ -268,6 +270,34 @@ def test_conservation_all_operators(seed):
                     chemotactic_divergence(u, v, 1.4, d)):
             budget = 1e-12 * np.sum(np.abs(out.values)) * d.cell_volume + 1e-14
             assert abs(integrate(out, d)) <= budget
+
+
+@st.composite
+def domains(draw):
+    """1D and 2D boxes on both sides of the 1024-cell gather threshold."""
+    dim = draw(st.sampled_from([1, 2]))
+    return Domain(tuple(draw(st.floats(0.05, 20.0)) for _ in range(dim)),
+                  tuple(draw(st.integers(3, 40 if dim == 2 else 2000))
+                        for _ in range(dim)))
+
+
+@settings(max_examples=40)
+@given(d=domains(), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       c=st.floats(0.0, 1e3), chi=st.floats(0.01, 10.0), k=st.floats(0.01, 10.0),
+       p=st.floats(0.0, 3.0))
+def test_operators_conserve_and_annihilate_constants_property(d, seed, scale, c,
+                                                              chi, k, p):
+    params = ModelParams(tau=1.0, chi=chi, mu=1.0, k=k, p=p)
+    u, v = random_fields(d, seed, 0.0, scale)
+    g, _ = random_fields(d, seed + 1, -scale, scale)
+    for out in (laplacian_neumann(g, d), diffusive_divergence(u, params, d),
+                chemotactic_divergence(u, v, chi, d)):
+        budget = 1e-12 * np.sum(np.abs(out.values)) * d.cell_volume + 1e-14
+        assert abs(integrate(out, d)) <= budget
+    const = Field.constant(d, c)
+    for out in (laplacian_neumann(const, d), diffusive_divergence(const, params, d),
+                chemotactic_divergence(u, const, chi, d)):
+        assert np.all(out.values == 0.0)
 
 
 # ---------------------------------------------------------- mirror symmetry

@@ -1,7 +1,11 @@
 """Snapshot format: bit-exact round trips and strict validation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellerscope import Domain, Field, RunStatus, SimState
 from kellerscope.snapshot import HEADER_BYTES, SnapshotError, read_snapshot, \
@@ -115,3 +119,63 @@ def test_header_overflow_refused(tmp_path):
     with pytest.raises(SnapshotError) as err:
         write_snapshot(state, str(tmp_path / "s.snap"))
     assert "64" in str(err.value)
+
+
+def write_raw(path, header, payload=b""):
+    raw = header.encode("ascii")
+    path.write_bytes(raw + b" " * (HEADER_BYTES - len(raw)) + payload)
+
+
+@pytest.mark.parametrize("clock", [
+    "t=nan steps=0", "t=inf steps=0", "t=-inf steps=0",
+    "t=-0x1p-1 steps=0", "t=0x1p-1 steps=-4", "t=nan steps=-4",
+    "t=0x1p99999 steps=0",   # too large for a double
+])
+def test_impossible_clock_rejected(tmp_path, clock):
+    # such a header used to resume: t=nan ran to max_steps and ended
+    # StalledDt, t=inf ended Finished without a step
+    d = Domain((1.0,), (8,))
+    path = tmp_path / "s.snap"
+    write_raw(path, f"KSSNAP1 dim=1 nx=8 ny=1 {clock}\n", b"\0" * (2 * 8 * 8))
+    with pytest.raises(SnapshotError):
+        read_snapshot(str(path), d)
+
+
+# header tokens: mostly well formed, with the values a corrupt or hand-made
+# file could hold
+_NUMBER = st.one_of(st.integers(-10, 10), st.integers(), st.just("x"))
+_TIME = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(float.hex),
+    st.sampled_from(["nan", "-inf", "0x1p99999", "0x", "1e5", "-0x0p+0"]),
+)
+_TOKENS = st.fixed_dictionaries({
+    "magic": st.sampled_from(["KSSNAP1", "KSSNAP2", ""]),
+    "dim": st.one_of(st.just(1), _NUMBER),
+    "nx": st.one_of(st.just(4), _NUMBER),
+    "ny": st.one_of(st.just(1), _NUMBER),
+    "t": _TIME,
+    "steps": st.one_of(st.integers(0, 10), _NUMBER),
+})
+
+
+@settings(max_examples=150)
+@given(tokens=_TOKENS, drop=st.sets(st.sampled_from(["dim", "nx", "ny", "t", "steps"])),
+       payload=st.one_of(st.just(b"\0" * 64), st.binary(max_size=80)),
+       junk=st.binary(max_size=HEADER_BYTES + 16))
+def test_read_snapshot_raises_only_snapshot_error(tmp_path_factory, tokens, drop,
+                                                  payload, junk):
+    d = Domain((1.0,), (4,))
+    header = " ".join([tokens["magic"]] + [f"{k}={tokens[k]}" for k in
+                                           ("dim", "nx", "ny", "t", "steps")
+                                           if k not in drop]) + "\n"
+    path = tmp_path_factory.mktemp("snap") / "s.snap"
+    for raw in (header.encode("ascii")[:HEADER_BYTES].ljust(HEADER_BYTES) + payload,
+                junk):
+        path.write_bytes(raw)
+        try:
+            state = read_snapshot(str(path), d)
+        except SnapshotError:
+            continue
+        assert math.isfinite(state.t) and state.t >= 0.0
+        assert state.steps >= 0
+        assert state.u.values.shape == state.v.values.shape == d.shape

@@ -253,15 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _workers_from(args) -> int:
-    if getattr(args, "workers", None):
+    """--workers, else KELLERSCOPE_WORKERS, else 1; run_sweep checks the count."""
+    if args.workers is not None:
         return args.workers
     env = os.environ.get("KELLERSCOPE_WORKERS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise _CliError(f"bad KELLERSCOPE_WORKERS={env!r}: {exc}") from exc
-    return 1
+    try:
+        return int(env) if env else 1
+    except ValueError as exc:
+        raise _CliError(f"bad KELLERSCOPE_WORKERS={env!r}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -276,19 +275,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(_load_config(args.config) if args.config else None)
         cfg = _load_config(args.config)
-        if args.command == "run":
-            return cmd_run(cfg, args.out, args.resume)
-        if args.command == "resume":
-            if not args.resume:
-                raise _CliError("resume requires --resume <snapshot>")
-            return cmd_run(cfg, args.out, args.resume)
         if args.command == "sweep":
             return cmd_sweep(cfg, _workers_from(args), args.out)
-        raise _CliError(f"unknown command {args.command}")
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except ValueError as exc:
+        if args.command == "resume" and not args.resume:
+            raise _CliError("resume requires --resume <snapshot>")
+        return cmd_run(cfg, args.out, args.resume)
+    except (_CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -126,6 +126,23 @@ def _parse_value(kind: str, text: str):
     raise AssertionError(kind)
 
 
+def _domain(dim: int, lengths: tuple[float, ...], cells: tuple[int, ...]) -> Domain:
+    """The [domain] keys as a Domain; a one-entry list serves every axis.
+
+    Domain checks the rest. A one-entry ``cells`` widens to at most one
+    axis more than Domain meshes, enough for it to reject the dim, so a
+    huge dim never builds a tuple of that size.
+    """
+    if len(cells) not in (1, dim):
+        raise ValueError(f"cells must have one entry or dim = {dim} entries, "
+                         f"got {len(cells)}")
+    if len(cells) == 1:
+        cells = cells * min(dim, 3)
+    if len(lengths) == 1:
+        lengths = lengths * len(cells)
+    return Domain(lengths, cells)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config text; raises ConfigError."""
     problems: list[tuple[int, str]] = []
@@ -190,24 +207,7 @@ def parse_config(text: str) -> RunConfig:
             problems.append((ln, f"[{section}] {exc}"))
             return None
 
-    dim = get("domain", "dim")
-    lengths = get("domain", "lengths")
-    cells = get("domain", "cells")
-    if isinstance(lengths, tuple) and len(lengths) == 1 and dim == 2:
-        lengths = lengths * 2
-    if isinstance(cells, tuple) and len(cells) == 1 and dim == 2:
-        cells = cells * 2
-    if len(lengths) != dim or len(cells) != dim:
-        problems.append((lineof("domain", "dim"),
-                         "[domain] lengths/cells must have one entry per axis"))
-        raise ConfigError(problems)
-    try:
-        domain = Domain(lengths=lengths, cells=cells)
-    except ValueError as exc:
-        problems.append((max(lineof("domain", k) for k in _SCHEMA["domain"]),
-                         f"[domain] {exc}"))
-        domain = None
-
+    domain = build("domain", _domain)
     params = build("model", ModelParams)
     stepper = build("stepper", StepperConfig)
     ic = build("ic", ICSpec)
@@ -222,7 +222,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def format_config(cfg: RunConfig) -> str:
-    """Serialize a config so that parsing it back yields an equal config."""
+    """Serialize a config so that parsing it back yields an equal config.
+
+    The format has no quoting, so an ``out_dir`` that holds ``#`` or a line
+    break, or that starts or ends with whitespace, cannot be written back;
+    it raises ValueError rather than name another directory.
+    """
+    d = cfg.out_dir
+    if "#" in d or d != d.strip() or len(d.splitlines()) > 1:
+        raise ValueError(f"out_dir {d!r} cannot be written to a config: it holds "
+                         f"'#' or a line break, or starts or ends with whitespace")
 
     def fmt(val) -> str:
         if val is None:

@@ -89,14 +89,16 @@ class Domain:
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
         object.__setattr__(self, "cells", tuple(int(n) for n in self.cells))
+        # each message starts with the config key at fault (see config.build)
         if len(self.lengths) != len(self.cells):
-            raise ValueError("lengths and cells must have one entry per axis")
+            raise ValueError(f"lengths must have one entry per axis of cells, "
+                             f"got {len(self.lengths)} for {len(self.cells)}")
         if self.dim not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {self.dim}")
+            raise ValueError("dim must be 1 or 2")
         if any(n < 3 for n in self.cells):
-            raise ValueError(f"every axis needs at least 3 cells, got {self.cells}")
+            raise ValueError(f"cells must be at least 3 on every axis, got {self.cells}")
         if any(not (L > 0.0) or not math.isfinite(L) for L in self.lengths):
-            raise ValueError(f"every length must be positive and finite, got {self.lengths}")
+            raise ValueError(f"lengths must be positive and finite, got {self.lengths}")
         object.__setattr__(self, "_spacing",
                            tuple(L / n for L, n in zip(self.lengths, self.cells)))
         # stencil shared by every operator (see _Axis), and the spacings

@@ -242,17 +242,36 @@ def _dt_limit(u_max: float, w: np.ndarray, params: ModelParams, d: Domain,
     the donor-cell update provably nonnegative when several mechanisms act
     at once; with a single active mechanism it reduces to the familiar
     per-term limits, e.g. h^2/(2*dim*max phi) for isotropic diffusion.
+
+    Where the flow diverges, a cell drains through both faces of an axis,
+    at up to twice the fastest face speed. When that could empty a cell
+    within the step, the advection rate is raised to the fastest outflow of
+    any cell (:func:`_max_outflow`); the check costs no array pass.
     """
     # accepted diffusivity families are nondecreasing, so the face maximum
     # is bounded by phi at the largest cell value
     phi_max = _phi(u_max, params)
-    rate = 0.0
+    rate = advection = 0.0
     for h, w_max in zip(d.spacing, np.abs(w).reshape(d.dim, -1).max(axis=1).tolist()):
         rate += 2.0 * phi_max / h**2
         rate += w_max / h
+        advection += w_max / h
+    drain = rate + advection   # bounds diffusion plus outflow out of any cell
     if params.reaction_on:
         rate += params.a + 2.0 * params.mu * u_max
+    if cfg.safety * drain > rate:
+        rate += max(0.0, _max_outflow(w, d) - advection)
     return cfg.safety / rate
+
+
+def _max_outflow(w: np.ndarray, d: Domain) -> float:
+    """Fastest rate at which the donor-cell flux drains a cell: the speeds
+    out of each of its faces over h, summed, at the worst cell."""
+    out = np.maximum(w, 0.0)
+    down = np.minimum(w, 0.0)   # on a cell's lower face, this drains the cell
+    for _, _, f_lo, f_hi, _, _ in d._axes:
+        out[f_hi] -= down[f_lo]
+    return float(np.add.reduce(out / d._h, axis=0).max())
 
 
 def _clip_dt(dt: float, cfg: StepperConfig) -> float:

@@ -226,6 +226,18 @@ def test_workers_env_variable(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("flag, env", [(["--workers", "0"], "2"), ([], "0")])
+def test_zero_workers_exit_ten(tmp_path, monkeypatch, capsys, flag, env):
+    # neither a zero flag nor a zero variable falls back to another count
+    text = STEADY_CONFIG + "\n[sweep]\nchi_values = 0.5\nmu_values = 2.0\n"
+    cfg = write(tmp_path, text)
+    monkeypatch.setenv("KELLERSCOPE_WORKERS", env)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out), *flag]) == 10
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_resume_continues_run(tmp_path):
     cfg_half = write(tmp_path, STEADY_CONFIG.replace("t_end = 0.05",
                                                      "t_end = 0.02"), "half.cfg")
@@ -245,6 +257,20 @@ def test_resume_continues_run(tmp_path):
     b = read_snapshot(os.path.join(out_full, "final.snap"), d)
     assert a.t == pytest.approx(b.t, abs=1e-12)
     assert np.allclose(a.u.values, b.u.values, rtol=1e-12, atol=1e-15)
+
+
+def test_run_resume_and_resume_write_the_same_files(tmp_path):
+    half = write(tmp_path, STEADY_CONFIG.replace("t_end = 0.05", "t_end = 0.02"),
+                 "half.cfg")
+    cfg = write(tmp_path, STEADY_CONFIG)
+    assert main(["run", "--config", half, "--out", str(tmp_path / "first")]) == 0
+    snap = str(tmp_path / "first" / "final.snap")
+    for command in ("run", "resume"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
+                     "--resume", snap]) == 0
+    for name in ("series.csv", "final.snap"):
+        assert ((tmp_path / "run" / name).read_bytes()
+                == (tmp_path / "resume" / name).read_bytes())
 
 
 def test_resume_requires_snapshot_flag(tmp_path):

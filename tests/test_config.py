@@ -1,6 +1,8 @@
 """Strict config parsing: defaults, errors with line numbers, round-trip."""
 
+import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,38 @@ def test_dimension_axis_mismatch_rejected():
         parse_config("[domain]\ndim = 1\nlengths = 1.0, 2.0\ncells = 8, 8\n")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("[domain]\ncells = 8, 8\n", [(2, "cells")]),
+    ("[domain]\ndim = 3\n", [(2, "dim")]),
+    ("[domain]\ndim = 2\nlengths = 1.0, 2.0, 3.0\n", [(3, "lengths")]),
+    ("[domain]\ndim = 2\ncells = 8, 2\n", [(3, "cells")]),
+    # a bad [domain] must not hide the problems of the sections below it
+    ("[domain]\ndim = 2\ncells = 8, 8, 8\n[model]\ntau = -1\n",
+     [(3, "cells"), (5, "tau")]),
+])
+def test_domain_error_names_key_and_line(text, want):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert [(ln, msg.split()[1]) for ln, msg in err.value.problems] == want
+
+
+def test_huge_dim_is_rejected_without_building_its_axes():
+    with pytest.raises(ConfigError) as err:
+        parse_config("[domain]\ndim = 1000000000000\n")
+    assert err.value.problems == [(2, "[domain] dim must be 1 or 2")]
+
+
+def test_readme_config_block_parses():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                        flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert cfg.domain.cells == (64, 64)
+    assert cfg.ic.name is ICName.GAUSSIAN_BUMP
+    assert cfg.sweep.mu_values == (5.0, 10.0, 20.0)
+
+
 _POS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _NONNEG = st.floats(min_value=0.0, allow_infinity=False)
 _ABOVE_ONE = st.floats(min_value=1.0, exclude_min=True, allow_infinity=False)
@@ -221,8 +255,9 @@ def run_configs(draw):
         base_params=params, base_cfg=stepper, ic=ic,
         repeat=draw(st.integers(1, 100)), seed=draw(st.integers(0, 2**63)),
         gamma0=draw(st.none() | _ABOVE_ONE), C_reg=draw(_POS))
-    # the format has no escapes: '#' starts a comment, and the value is stripped
-    out_dir = draw(st.text(string.ascii_letters + string.digits + "_-./",
+    # the format has no escapes: '#' starts a comment, a line break ends the
+    # value and the value is stripped, so some of these cannot be written
+    out_dir = draw(st.text(string.ascii_letters + string.digits + "_-./#= \t\n\r\x85",
                            min_size=1, max_size=16))
     return RunConfig(domain=domain, params=params, stepper=stepper, ic=ic,
                      sweep=sweep, out_dir=out_dir)
@@ -231,4 +266,11 @@ def run_configs(draw):
 @settings(max_examples=60)
 @given(cfg=run_configs())
 def test_format_parse_round_trip_property(cfg):
-    assert parse_config(format_config(cfg)) == cfg
+    d = cfg.out_dir
+    unwritable = "#" in d or d != d.strip() or len(d.splitlines()) > 1
+    try:
+        text = format_config(cfg)
+    except ValueError as exc:
+        assert unwritable and "out_dir" in str(exc)
+        return
+    assert parse_config(text) == cfg

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellerscope import (Domain, Field, HelmholtzError, ModelParams, RunStatus,
                          SimState, StepperConfig, integrate, run, run_state,
@@ -211,6 +213,54 @@ def test_step_rejects_negative_density():
         state = SimState(t=0.0, u=Field(u, d), v=Field.constant(d, 1.0))
         with pytest.raises(ValueError, match="negative density"):
             step(state, p, cfg_with())
+
+
+def test_step_keeps_density_nonnegative_where_flow_diverges():
+    # v has a sharp minimum in cell 1, so chemotaxis drains that cell through
+    # both faces at once: faster than the fastest face speed alone
+    d = Domain((1.0,), (4,))
+    u = Field(np.array([0.51182162, 0.9504637, 0.14415961, 0.94864945]), d)
+    v = Field(np.array([0.54959369, 0.02755911, 0.75351311, 0.53814331]), d)
+    p = ModelParams(tau=1.0, chi=9.0, mu=1.0, k=1.0, reaction_on=False)
+    new = step(SimState(t=0.0, u=u, v=v, steps=1), p, StepperConfig(dt_min=1e-300))
+    assert np.all(new.u.values >= 0.0)
+    res = run(u, v, p, StepperConfig(t_end=0.1, dt_init=0.1))
+    assert res.final.status is RunStatus.FINISHED
+
+
+@st.composite
+def step_cases(draw):
+    """A running state with nonnegative fields, some cells exactly zero, on
+    1D and 2D boxes on both sides of the 1024-cell gather threshold."""
+    dim = draw(st.sampled_from([1, 2]))
+    d = Domain(tuple(draw(st.floats(0.05, 20.0)) for _ in range(dim)),
+               tuple(draw(st.integers(3, 40 if dim == 2 else 2000))
+                     for _ in range(dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, zeros = draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 1.0))
+    u, v = (scale * rng.random(d.shape) * (rng.random(d.shape) >= zeros)
+            for _ in range(2))
+    params = ModelParams(
+        tau=draw(st.floats(0.01, 10.0)), chi=draw(st.floats(0.01, 10.0)),
+        mu=draw(st.floats(0.01, 10.0)), a=draw(st.floats(0.0, 10.0)),
+        k=draw(st.floats(0.01, 10.0)), p=draw(st.floats(0.0, 3.0)),
+        reaction_on=draw(st.booleans()))
+    return SimState(t=0.0, u=Field(u, d), v=Field(v, d), steps=1), params
+
+
+@settings(max_examples=100)
+@given(case=step_cases())
+def test_step_at_the_dt_rule_keeps_fields_nonnegative_property(case):
+    # dt_min far below any rule's dt: the step is never pinned, so no clamp
+    # hides a negative value and reaction-free steps must conserve mass
+    state, params = case
+    new = step(state, params, StepperConfig(dt_min=1e-300))
+    assert new.status is RunStatus.RUNNING
+    assert np.all(new.u.values >= 0.0) and np.all(new.v.values >= 0.0)
+    if not params.reaction_on:
+        d = state.domain
+        m0, m1 = integrate(state.u, d), integrate(new.u, d)
+        assert abs(m1 - m0) <= 1e-12 * m0
 
 
 def test_step_tracks_logistic_ode():

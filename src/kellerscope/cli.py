@@ -24,7 +24,7 @@ from .model import ModelParams, homogeneous_steady_state
 from .snapshot import read_snapshot, write_snapshot
 from .stepper import SimState, StepperConfig, run, run_state, \
     solve_helmholtz, step
-from .sweep import regime_map, run_sweep
+from .sweep import check_workers, regime_map, run_sweep
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -126,6 +126,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, out_dir: str | None = None) -> int:
     Cells that raised are recorded as Undecided with an ``error:`` note;
     if any did, the command fails after writing both files.
     """
+    check_workers(workers)   # before the output directory is made
     out = _ensure_out_dir(cfg, out_dir)
     records = run_sweep(cfg.sweep, workers=workers)
     rmap = regime_map(records)

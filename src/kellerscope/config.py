@@ -190,9 +190,6 @@ def parse_config(text: str) -> RunConfig:
         kind, default = _SCHEMA[section][key]
         return _parse_value(kind, default)
 
-    def lineof(section: str, key: str) -> int:
-        return lines.get((section, key), 0)
-
     def build(section: str, ctor, **fixed):
         keys = _SCHEMA[section]
         try:
@@ -201,9 +198,8 @@ def parse_config(text: str) -> RunConfig:
             # constraint messages start with the offending field name; use it
             # to recover the exact config line when that key was set
             first = str(exc).split()[0] if str(exc) else ""
-            ln = next((lineof(section, k) for k in keys if _field(k) == first), 0)
-            if ln == 0:
-                ln = max(lineof(section, k) for k in keys)
+            at = {k: lines.get((section, k), 0) for k in keys}   # 0: not set
+            ln = next((at[k] for k in keys if _field(k) == first), 0) or max(at.values())
             problems.append((ln, f"[{section}] {exc}"))
             return None
 

@@ -246,7 +246,8 @@ def _dt_limit(u_max: float, w: np.ndarray, params: ModelParams, d: Domain,
     Where the flow diverges, a cell drains through both faces of an axis,
     at up to twice the fastest face speed. When that could empty a cell
     within the step, the advection rate is raised to the fastest outflow of
-    any cell (:func:`_max_outflow`); the check costs no array pass.
+    any cell (:func:`_max_outflow`). The check itself costs no array pass;
+    when it trips, the outflow costs about six.
     """
     # accepted diffusivity families are nondecreasing, so the face maximum
     # is bounded by phi at the largest cell value
@@ -268,9 +269,9 @@ def _max_outflow(w: np.ndarray, d: Domain) -> float:
     """Fastest rate at which the donor-cell flux drains a cell: the speeds
     out of each of its faces over h, summed, at the worst cell."""
     out = np.maximum(w, 0.0)
-    down = np.minimum(w, 0.0)   # on a cell's lower face, this drains the cell
     for _, _, f_lo, f_hi, _, _ in d._axes:
-        out[f_hi] -= down[f_lo]
+        # a negative speed on a cell's lower face drains the cell too
+        out[f_hi] -= np.minimum(w[f_lo], 0.0)
     return float(np.add.reduce(out / d._h, axis=0).max())
 
 

@@ -176,6 +176,13 @@ def _tasks(spec: SweepSpec) -> list[_Task]:
     return tasks
 
 
+def check_workers(workers: int) -> None:
+    """The one check of a worker count, so a caller can make it before it
+    writes anything."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     """Execute every cell replica; records come back in lexicographic
     (chi, mu, p, replica) order no matter how many workers ran them.
@@ -184,8 +191,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     records finished before that are kept, and every cell the pool lost
     comes back Undecided with an ``error:`` note, as a cell that raised.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     tasks = _tasks(spec)
     if workers == 1 or len(tasks) == 1:
         return [_execute(t) for t in tasks]

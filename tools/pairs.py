@@ -105,7 +105,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="BENCH-style JSON file to write")
     parser.add_argument("--note", default="", help="description stored in --out")
     args = parser.parse_args(argv)
-    dirs = {"parent": args.parent, "change": args.change}
+    # absolute, since each run starts in its own checkout
+    dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     runs = []

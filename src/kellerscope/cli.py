@@ -22,7 +22,7 @@ from .grid import Domain, Field, chemotactic_divergence, diffusive_divergence, \
 from .ic import ICSpec, build_ic
 from .model import ModelParams, homogeneous_steady_state
 from .snapshot import read_snapshot, write_snapshot
-from .stepper import SimState, StepperConfig, run, run_state, \
+from .stepper import HelmholtzError, SimState, StepperConfig, run, run_state, \
     solve_helmholtz, step
 from .sweep import check_workers, regime_map, run_sweep
 
@@ -281,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "resume" and not args.resume:
             raise _CliError("resume requires --resume <snapshot>")
         return cmd_run(cfg, args.out, args.resume)
-    except (_CliError, ValueError) as exc:
+    except (_CliError, ValueError, HelmholtzError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -235,19 +235,25 @@ def _laplacian(vals: np.ndarray, d: Domain) -> np.ndarray:
     return _divergence(_grad(vals, d), d)
 
 
-def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per axis, the orthonormal DCT-II matrix C and the eigenvalues lam of
-    -lap along it, ``(4/h^2) sin^2(pi m / 2n)``: ``_laplacian`` applies
-    -C.T diag(lam) C along each axis. Built on first use, then cached on
-    the domain (n^2 doubles per axis)."""
+def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The zero-flux Laplacian's eigenbasis, in any dimension.
+
+    Returns, per axis k, the orthonormal DCT-II matrix C_k, whose row m is
+    the mode of -lap along k with eigenvalue ``(4/h_k^2) sin^2(pi m / 2n_k)``
+    (``_laplacian`` applies -C_k.T diag(those) C_k along each axis); and
+    ``lam``, the eigenvalues of -lap on the whole grid, in the grid's shape:
+    the sums of one per-axis eigenvalue per axis. Built on first use, then
+    cached on the domain: n^2 doubles per axis of n cells, plus one per cell.
+    """
     if d._eigen is None:
-        basis = []
+        bases, lam = [], 0.0
         for n, h in zip(d.cells, d.spacing):
             m = np.arange(n)
             c = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(m, m + 0.5))
             c[0] /= np.sqrt(2.0)
-            basis.append((c, 4.0 / h**2 * np.sin(np.pi / (2 * n) * m) ** 2))
-        object.__setattr__(d, "_eigen", tuple(basis))
+            bases.append(c)
+            lam = np.add.outer(lam, 4.0 / h**2 * np.sin(np.pi / (2 * n) * m) ** 2)
+        object.__setattr__(d, "_eigen", (tuple(bases), lam))
     return d._eigen
 
 

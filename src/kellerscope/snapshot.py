@@ -13,6 +13,7 @@ exact same bits.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -37,6 +38,9 @@ def _hex_time(t: float) -> str:
 
 
 def write_snapshot(state: SimState, path: str) -> None:
+    """Write ``state`` to ``path`` atomically: into ``path + ".tmp"`` first,
+    then renamed over ``path``. Raises SnapshotError when the header does not
+    fit its 64 bytes."""
     d = state.domain
     nx = d.cells[0]
     ny = d.cells[1] if d.dim == 2 else 1
@@ -49,10 +53,16 @@ def write_snapshot(state: SimState, path: str) -> None:
             f"grid extents or step counter too large for this snapshot layout"
         )
     raw += b" " * (HEADER_BYTES - len(raw))
-    with open(path, "wb") as fh:
-        fh.write(raw)
-        fh.write(np.ascontiguousarray(state.u.values, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.v.values, dtype="<f8").tobytes())
+    tmp = f"{path}.tmp"   # a failed write leaves the file at ``path`` as it was
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(raw)
+            fh.write(np.ascontiguousarray(state.u.values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(state.v.values, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_snapshot(path: str, domain: Domain) -> SimState:

@@ -6,16 +6,13 @@ signal, with the quadratic sink treated semi-implicitly so the update can
 never produce a negative density on its own. Step size comes from explicit
 stability limits; blow-up is detected, never resolved.
 
-The 1D signal solve calls LAPACK ``dgtsv`` from scipy. Loading
-``scipy.linalg`` costs more start-up time than the rest of the package, so
-it is imported on the first 1D solve and kept (see :func:`_gtsv`); a 2D run
-never loads it.
+The Helmholtz solve inverts its operator exactly in the Laplacian's DCT-II
+eigenbasis, by the same numpy code in every dimension.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -137,10 +134,10 @@ def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
                     x0: Field | None = None) -> Field:
     """Solve (alpha*I - lap) w = rhs with the zero-flux Laplacian.
 
-    Residual-checked passes of the exact inverse (tridiagonal elimination in
-    1D, the DCT-II eigenbasis in 2D), warm-started from ``x0`` when given
-    (time steppers pass the previous signal), for at most ``maxiter``
-    passes. The result satisfies
+    Residual-checked passes of the exact inverse (in the Laplacian's DCT-II
+    eigenbasis, by one code path for every dimension), warm-started from
+    ``x0`` when given (time steppers pass the previous signal), for at most
+    ``maxiter`` passes. The result satisfies
     ||(alpha*I - lap) w - rhs||_inf <= tol * ||rhs||_inf.
     """
     if not alpha > 0.0:
@@ -203,31 +200,22 @@ def _solve_helmholtz(rhs: np.ndarray, alpha: float, d: Domain, tol: float,
 
 
 def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
-    """(alpha*I - lap)^-1 r, exact up to rounding.
+    """(alpha*I - lap)^-1 r, exact up to rounding, in any dimension.
 
-    1D eliminates the tridiagonal matrix with LAPACK ``gtsv``. 2D transforms
-    into the Laplacian's eigenbasis (see ``grid._eigenbasis``), divides by
-    the eigenvalues of alpha*I - lap and transforms back: four matmuls.
+    Transforms into the Laplacian's eigenbasis (see ``grid._eigenbasis``),
+    divides by the eigenvalues of alpha*I - lap and transforms back. Each
+    transform multiplies by one basis per axis: rotating the axes
+    cyclically brings each axis last in turn, and after ``dim`` rotations
+    they are back in their own order.
     """
-    if d.dim == 1:
-        n = d.cells[0]
-        inv_h2 = 1.0 / d.spacing[0] ** 2
-        diag = np.full(n, alpha + 2.0 * inv_h2)
-        diag[0] = diag[-1] = alpha + inv_h2
-        off = np.full(n - 1, -inv_h2)
-        *_, w, info = _gtsv()(off, diag, off, r)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return w
-    (c0, lam0), (c1, lam1) = _eigenbasis(d)
-    return c0.T @ ((c0 @ r @ c1.T) / (alpha + lam0[:, None] + lam1)) @ c1
-
-
-@functools.cache
-def _gtsv():
-    """LAPACK ``dgtsv``, imported on the first call and kept."""
-    from scipy.linalg.lapack import dgtsv
-    return dgtsv
+    bases, lam = _eigenbasis(d)
+    cyc = (*range(1, d.dim), 0)
+    for c in bases:
+        r = r.transpose(cyc) @ c.T
+    r = r / (alpha + lam)
+    for c in bases:
+        r = r.transpose(cyc) @ c
+    return r
 
 
 def _dt_limit(u_max: float, w: np.ndarray, params: ModelParams, d: Domain,
@@ -438,15 +426,20 @@ def run(u0: Field, v0: Field, params: ModelParams, cfg: StepperConfig,
     the same sampling instants also keep full (t, u, v) copies, which the
     regularity-constant estimator consumes.
     """
-    if np.min(u0.values) < 0.0 or np.min(v0.values) < 0.0:
-        raise ValueError("initial data must be nonnegative")
     return run_state(SimState(t=0.0, u=u0.copy(), v=v0.copy()), params, cfg,
                      capture_fields)
 
 
 def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
               capture_fields: bool = False) -> RunResult:
-    """Continue stepping an existing state (checkpoint resume path)."""
+    """Continue stepping an existing state (checkpoint resume path).
+
+    Raises ValueError unless both fields are finite and nonnegative: the one
+    check of the data a run starts from, fresh or resumed.
+    """
+    if not all(np.isfinite(f).all() and f.min() >= 0.0
+               for f in (state.u.values, state.v.values)):
+        raise ValueError("initial data must be finite and nonnegative")
     cfg = replace(cfg, blowup_threshold=_resolve_threshold(
         cfg, float(np.max(state.u.values))))
     start_steps = state.steps

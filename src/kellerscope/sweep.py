@@ -18,7 +18,7 @@ from .diagnostics import RunOutcome, TheoryRegime, classify_run, classify_theory
 from .grid import Domain
 from .ic import ICSpec, build_ic
 from .model import ModelParams
-from .stepper import StepperConfig, _gtsv, run
+from .stepper import StepperConfig, run
 
 REPLICA_PERTURBATION = 0.05
 
@@ -199,8 +199,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    if spec.domain.dim == 1:
-        _gtsv()   # forked workers inherit LAPACK instead of each loading it
     records = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_execute, t) for t in tasks]

@@ -197,8 +197,9 @@ mu_values = 2.0, 4.0
 
 
 def test_cli_import_loads_neither_scipy_nor_the_process_pool():
-    # scipy.linalg only serves the 1D signal solve and the process pool only
-    # a sweep with workers; neither belongs in the start-up of every command
+    # no command needs scipy, and only a sweep with workers needs the
+    # process pool; 1D and 2D signal solves and the whole check battery run
+    # on numpy alone
     code = """
 import sys
 import numpy as np
@@ -206,10 +207,12 @@ import kellerscope.cli
 from kellerscope import Domain, Field, solve_helmholtz
 loaded = [m for m in ("scipy", "concurrent.futures.process") if m in sys.modules]
 assert not loaded, loaded
-d = Domain((1.0,), (16,))
-w = solve_helmholtz(Field(np.linspace(0.0, 1.0, 16), d), 2.5, d)
-assert np.all(np.isfinite(w.values))
-assert "scipy.linalg.lapack" in sys.modules
+for d in (Domain((1.0,), (16,)), Domain((1.0, 1.5), (9, 7))):
+    w = solve_helmholtz(Field(np.linspace(0.0, 1.0, d.n_cells).reshape(d.shape), d),
+                        2.5, d)
+    assert np.all(np.isfinite(w.values))
+assert kellerscope.cli.main(["check"]) == 0
+assert "scipy" not in sys.modules
 """
     src = os.path.dirname(os.path.dirname(kellerscope.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -271,6 +274,32 @@ def test_run_resume_and_resume_write_the_same_files(tmp_path):
     for name in ("series.csv", "final.snap"):
         assert ((tmp_path / "run" / name).read_bytes()
                 == (tmp_path / "resume" / name).read_bytes())
+
+
+@pytest.mark.parametrize("field, cell, value", [("u", 3, np.nan), ("v", 7, -3.0)])
+def test_resume_rejects_invalid_fields(tmp_path, capsys, field, cell, value):
+    # run and resume share run_state's check of the fields they start from
+    from kellerscope import Domain, Field, SimState
+    from kellerscope.snapshot import write_snapshot
+    d = Domain((1.0,), (12,))
+    fields = {"u": np.full(12, 0.5), "v": np.full(12, 0.5)}
+    fields[field][cell] = value
+    snap = str(tmp_path / "bad.snap")
+    write_snapshot(SimState(t=0.01, u=Field(fields["u"], d), v=Field(fields["v"], d),
+                            steps=10), snap)
+    cfg = write(tmp_path, STEADY_CONFIG)
+    assert main(["resume", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--resume", snap]) == 10
+    assert "error: initial data must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_helmholtz_failure_exits_ten(tmp_path, capsys):
+    # a residual target below rounding level cannot be met on the default grid
+    cfg = write(tmp_path, "[stepper]\nhelmholtz_tol = 1e-18\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: Helmholtz solve missed its residual target")
+    assert "Traceback" not in err
 
 
 def test_resume_requires_snapshot_flag(tmp_path):

@@ -179,3 +179,27 @@ def test_read_snapshot_raises_only_snapshot_error(tmp_path_factory, tokens, drop
         assert math.isfinite(state.t) and state.t >= 0.0
         assert state.steps >= 0
         assert state.u.values.shape == state.v.values.shape == d.shape
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    from kellerscope import snapshot
+    d = Domain((1.0, 1.0), (5, 6))
+    rng = np.random.default_rng(9)
+    path = tmp_path / "final.snap"
+    write_snapshot(random_state(d, rng), str(path))
+    before = path.read_bytes()
+    convert = np.ascontiguousarray
+    calls = []
+
+    def fail_on_v(a, dtype=None):
+        calls.append(1)
+        if len(calls) == 2:   # after the header and u are written
+            raise MemoryError("out of memory")
+        return convert(a, dtype=dtype)
+
+    monkeypatch.setattr(snapshot.np, "ascontiguousarray", fail_on_v)
+    with pytest.raises(MemoryError):
+        write_snapshot(random_state(d, rng), str(path))
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final.snap"]

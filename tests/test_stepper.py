@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kellerscope import (Domain, Field, HelmholtzError, ModelParams, RunStatus,
@@ -33,13 +33,25 @@ def test_helmholtz_constant_rhs():
         assert np.allclose(w.values, 2.0, atol=1e-12)
 
 
-def test_helmholtz_recovers_forward_application():
-    for d in (Domain((1.3,), (17,)), Domain((1.0, 1.0), (9, 11))):
-        rng = np.random.default_rng(3 + d.dim)
-        g = Field(rng.standard_normal(d.shape), d)
-        rhs = Field(1.0 * g.values - laplacian_neumann(g, d).values, d)
-        w = solve_helmholtz(rhs, 1.0, d)
-        assert np.max(np.abs(w.values - g.values)) < 1e-9
+@st.composite
+def spaced_domains(draw):
+    """1D and 2D boxes on both sides of the 1024-cell gather threshold, with
+    spacings of at least 0.1, so that the 1e-10 residual target bounds the
+    error of a solve with alpha = 1 well below 1e-9."""
+    dim = draw(st.sampled_from([1, 2]))
+    cells = tuple(draw(st.integers(3, 40 if dim == 2 else 2000)) for _ in range(dim))
+    return Domain(tuple(n * draw(st.floats(0.1, 2.0)) for n in cells), cells)
+
+
+@settings(max_examples=40)
+@given(d=spaced_domains(), seed=st.integers(0, 2**32 - 1))
+@example(d=Domain((1.3,), (17,)), seed=4)
+@example(d=Domain((1.0, 1.0), (9, 11)), seed=5)
+def test_helmholtz_recovers_forward_application(d, seed):
+    g = Field(np.random.default_rng(seed).standard_normal(d.shape), d)
+    rhs = Field(1.0 * g.values - laplacian_neumann(g, d).values, d)
+    w = solve_helmholtz(rhs, 1.0, d)
+    assert np.max(np.abs(w.values - g.values)) < 1e-9
 
 
 def test_helmholtz_three_cell_dense_oracle():
@@ -53,7 +65,9 @@ def test_helmholtz_three_cell_dense_oracle():
 
 
 def test_helmholtz_matches_dense_solver_2d():
-    for d in (Domain((1.0, 1.5), (5, 4)), Domain((1.2, 0.7), (12, 7))):
+    # every dimension takes the same eigenbasis path, 1D included
+    for d in (Domain((1.0, 1.5), (5, 4)), Domain((1.2, 0.7), (12, 7)),
+              Domain((1.3,), (8,)), Domain((1.3,), (41,)), Domain((1.3,), (200,))):
         rng = np.random.default_rng(12)
         rhs = rng.standard_normal(d.shape)
         w = solve_helmholtz(Field(rhs, d), 2.7, d)
@@ -346,6 +360,16 @@ def test_run_rejects_negative_initial_data():
     bad = Field(np.array([1.0, -0.5, 1.0, 1.0]), d)
     with pytest.raises(ValueError):
         run(bad, Field.constant(d, 0.0), p, StepperConfig())
+
+
+@pytest.mark.parametrize("field, cell, value", [("u", 2, np.nan), ("v", 5, -3.0)])
+def test_run_state_rejects_invalid_fields(field, cell, value):
+    d = Domain((1.0,), (8,))
+    fields = {"u": np.full(8, 0.5), "v": np.full(8, 0.5)}
+    fields[field][cell] = value
+    state = SimState(t=0.1, u=Field(fields["u"], d), v=Field(fields["v"], d), steps=3)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        run_state(state, ModelParams(tau=1.0, chi=0.5, mu=2.0, a=1.0), cfg_with())
 
 
 def test_run_positivity_with_all_terms():

@@ -154,7 +154,8 @@ def cmd_theta0(gamma0: float, chi: float, c_reg: float) -> int:
 def cmd_check(cfg: RunConfig | None = None) -> int:
     """Self-test battery over operator and stepping invariants.
 
-    Exits nonzero if any check fails; prints one line per check.
+    Prints one line per check; exits 10 with an ``error:`` line if any
+    check fails.
     """
     checks: list[tuple[str, bool]] = []
 
@@ -214,8 +215,8 @@ def cmd_check(cfg: RunConfig | None = None) -> int:
            f"max mass={max(s.mass for s in result.series):.6g} cap={cap:.6g}")
     failed = sum(1 for _, ok in checks if not ok)
     if failed:
-        print(f"{failed} check(s) failed", file=sys.stderr)
-        return 1
+        print(f"error: {failed} of {len(checks)} checks failed", file=sys.stderr)
+        return EXIT_FAILURE
     print(f"all {len(checks)} checks passed")
     return EXIT_OK
 

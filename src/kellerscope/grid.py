@@ -228,7 +228,7 @@ def _divergence(flux: np.ndarray, d: Domain) -> np.ndarray:
             div[f_first] = flux[f_first]
             np.subtract(flux[f_hi], flux[f_lo], out=div[f_hi])
     div /= d._h
-    return np.add.reduce(div, axis=0)
+    return sum(div[1:], div[0])   # the axes in order, as add.reduce sums them
 
 
 def _laplacian(vals: np.ndarray, d: Domain) -> np.ndarray:

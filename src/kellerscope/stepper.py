@@ -16,11 +16,12 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (Domain, Field, _divergence, _eigenbasis, _face_velocity, _grad,
-                   _upper, _upwind_flux, integrate)
+from .grid import (Domain, Field, _divergence, _eigenbasis, _grad, _upper, _upwind_flux,
+                   integrate)
 from .model import ModelParams, _diffusive_flux, _phi
 
 
@@ -82,14 +83,30 @@ class StepperConfig:
             raise ValueError(f"series_gamma must be >= 1, got {self.series_gamma}")
 
 
+class _Carry(NamedTuple):
+    """What the step that made a state already knows about it: the one
+    stencil pass of its signal, that gradient's per-axis maxima and the
+    extrema of its density (after the round-off clamp)."""
+
+    grad: np.ndarray        # face gradient of v (see _stencil)
+    lap: np.ndarray         # Laplacian of v
+    g_max: list[float]      # per-axis max |grad v|, see _face_max
+    u_min: float
+    u_max: float
+
+
 @dataclass(frozen=True)
 class SimState:
     """Snapshot of a simulation: time, both fields, bookkeeping.
 
-    A state made by :func:`step` carries its signal's face gradient and
-    Laplacian to the next step; any other way of building a state
+    A state made by :func:`step` carries to the next step what that step
+    computed about it: its signal's face gradient and Laplacian, the
+    per-axis maxima of that gradient, and its density's minimum and
+    maximum after the round-off clamp. The next step's negative-density
+    check reads the carried minimum, and its dt rule and blow-up test the
+    maxima. Any other way of building a state
     (``SimState(...)``, ``dataclasses.replace``, a snapshot read) starts
-    without them and the next step recomputes them. A state's arrays must
+    without a carry and the next step recomputes it. A state's arrays must
     therefore not be mutated in place.
     """
 
@@ -99,9 +116,8 @@ class SimState:
     steps: int = 0
     status: RunStatus = RunStatus.RUNNING
     stall_steps: int = 0   # consecutive dt-pinned steps with growing sup-norm
-    # (grad v, lap v) from the step that made this state; see _stencil
-    _ops: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, compare=False, repr=False)
+    # what the step that made this state computed about it; see _Carry
+    _carry: _Carry | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def domain(self) -> Domain:
@@ -148,7 +164,7 @@ def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
     # detection; let the non-finite values propagate silently
     with np.errstate(over="ignore", invalid="ignore"):
         w, _, _ = _solve_helmholtz(rhs.values, alpha, d, tol, maxiter,
-                                   None if x0 is None else x0.values)
+                                   None if x0 is None else x0.values.copy())
     return Field(w, d)
 
 
@@ -171,7 +187,7 @@ def _solve_helmholtz(rhs: np.ndarray, alpha: float, d: Domain, tol: float,
     true residual against ``tol * max|rhs|``; until it is met, each pass adds
     the exact inverse applied to the residual, which removes all but the
     rounding. A warm start that already meets the target comes back
-    unchanged. Raises :class:`HelmholtzError` when the residual is
+    as the same array. Raises :class:`HelmholtzError` when the residual is
     non-finite, stops shrinking (the target lies below rounding level), or
     still misses the target after ``maxiter`` passes.
 
@@ -179,23 +195,23 @@ def _solve_helmholtz(rhs: np.ndarray, alpha: float, d: Domain, tol: float,
     start's residual its stencil pass. Returns the solution with its own
     ``_stencil``, the one the last residual check used.
     """
-    scale = float(np.abs(rhs).max())
+    scale = _amax(np.abs(rhs))
     if scale == 0.0:
         x = np.zeros(d.shape)
         return (x, *_stencil(x, d))
-    x, ops = (rhs / alpha, None) if x0 is None else (x0.copy(), ops0)
+    x, ops = (rhs / alpha, None) if x0 is None else (x0, ops0)
     last = math.inf
     for passes in itertools.count():
         g, lap = _stencil(x, d) if ops is None else ops
         r = rhs - (alpha * x - lap)
-        res = float(np.abs(r).max())
+        res = _amax(np.abs(r))
         if res <= tol * scale:
             return x, g, lap
         if not res < last or passes >= maxiter:  # also trips on a non-finite residual
             raise HelmholtzError(f"Helmholtz solve missed its residual target "
                                  f"after {passes} passes", res / scale)
         last = res
-        x += _helmholtz_inverse(r, alpha, d)
+        x = x + _helmholtz_inverse(r, alpha, d)
         ops = None
 
 
@@ -218,30 +234,34 @@ def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
     return r
 
 
-def _dt_limit(u_max: float, w: np.ndarray, params: ModelParams, d: Domain,
-              cfg: StepperConfig) -> float:
+def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
+              params: ModelParams, d: Domain, cfg: StepperConfig) -> float:
     """Safety-scaled explicit stability limit (unclipped): the dt rule.
 
-    ``u_max`` is the largest density (at least 0) and ``w`` the stacked face
-    velocities of the signal (see ``grid._face_velocity``). The rates add:
-    diffusion contributes 2*max(phi)/h^2 per axis, advection the largest
-    face speed over h per axis, the growth law a + 2*mu*max(u). Summing the
-    rates (rather than taking the smallest individual limit) is what makes
-    the donor-cell update provably nonnegative when several mechanisms act
-    at once; with a single active mechanism it reduces to the familiar
-    per-term limits, e.g. h^2/(2*dim*max phi) for isotropic diffusion.
+    ``u_max`` is the largest density (at least 0), ``g`` the signal's
+    stacked face gradient (see ``grid._grad``) and ``g_max`` its per-axis
+    maxima (:func:`_face_max`); the face velocities are ``chi * g``. The
+    rates add: diffusion contributes 2*max(phi)/h^2 per axis, advection the
+    largest face speed over h per axis, the growth law a + 2*mu*max(u).
+    Summing the rates (rather than taking the smallest individual limit) is
+    what makes the donor-cell update provably nonnegative when several
+    mechanisms act at once; with a single active mechanism it reduces to
+    the familiar per-term limits, e.g. h^2/(2*dim*max phi) for isotropic
+    diffusion.
 
     Where the flow diverges, a cell drains through both faces of an axis,
     at up to twice the fastest face speed. When that could empty a cell
     within the step, the advection rate is raised to the fastest outflow of
     any cell (:func:`_max_outflow`). The check itself costs no array pass;
-    when it trips, the outflow costs about six.
+    when it trips, the velocities and the outflow cost about seven.
     """
     # accepted diffusivity families are nondecreasing, so the face maximum
     # is bounded by phi at the largest cell value
     phi_max = _phi(u_max, params)
     rate = advection = 0.0
-    for h, w_max in zip(d.spacing, np.abs(w).reshape(d.dim, -1).max(axis=1).tolist()):
+    for h, gm in zip(d.spacing, g_max):
+        # rounding is monotone, so this is the largest |chi * g| on the axis
+        w_max = params.chi * gm
         rate += 2.0 * phi_max / h**2
         rate += w_max / h
         advection += w_max / h
@@ -249,8 +269,25 @@ def _dt_limit(u_max: float, w: np.ndarray, params: ModelParams, d: Domain,
     if params.reaction_on:
         rate += params.a + 2.0 * params.mu * u_max
     if cfg.safety * drain > rate:
-        rate += max(0.0, _max_outflow(w, d) - advection)
+        rate += max(0.0, _max_outflow(params.chi * g, d) - advection)
     return cfg.safety / rate
+
+
+def _face_max(g: np.ndarray) -> list[float]:
+    """Per-axis maxima of |g| for a stacked face array."""
+    return [_amax(a) for a in np.abs(g)]
+
+
+def _amax(x: np.ndarray) -> float:
+    """``x.max()`` as a float, found by index, which costs fewer numpy
+    calls on small arrays. A NaN entry comes back as NaN, as from ``max``:
+    ``argmax`` stops at the first NaN."""
+    return x.item(x.argmax())
+
+
+def _amin(x: np.ndarray) -> float:
+    """``x.min()`` as a float; see :func:`_amax`."""
+    return x.item(x.argmin())
 
 
 def _max_outflow(w: np.ndarray, d: Domain) -> float:
@@ -271,8 +308,8 @@ def stable_dt(u: Field, v: Field, params: ModelParams, d: Domain,
               cfg: StepperConfig) -> float:
     """Safety-scaled explicit stability limit, clipped to [dt_min, dt_max]."""
     u_max = max(float(u.values.max()), 0.0)
-    w = _face_velocity(v.values, params.chi, d)
-    return _clip_dt(_dt_limit(u_max, w, params, d, cfg), cfg)
+    g = _grad(v.values, d)
+    return _clip_dt(_dt_limit(u_max, g, _face_max(g), params, d, cfg), cfg)
 
 
 def _resolve_threshold(cfg: StepperConfig, sup_u: float) -> float:
@@ -294,70 +331,84 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
 
     Raises ValueError for a state that is not running or whose density has
     a negative entry; this is the one validation of the density per step.
+    It reads the density's minimum from the state's carry when the state
+    has one (see :class:`SimState`): the minimum after the clamp, so a
+    negative entry the clamp left is still rejected.
     """
+    # overflow is legitimate anywhere in a step: it surfaces as a BlowUp status
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _step(state, params, cfg)
+
+
+def _step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
+    """:func:`step` without its ``np.errstate``, which the caller holds."""
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
     d = state.domain
     u_old, v_old = state.u.values, state.v.values
-    if float(u_old.min()) < 0.0:
+    old = state._carry
+    if old is None:   # not made by step: compute what its carry would hold
+        g, lap = _stencil(v_old, d)
+        old = _Carry(g, lap, _face_max(g), _amin(u_old), _amax(u_old))
+    if old.u_min < 0.0:
         raise ValueError("cannot step a state with a negative density")
     remaining = cfg.t_end - state.t
     if remaining <= 0.0:
         return replace(state, status=RunStatus.FINISHED)
-    u_max = float(u_old.max())
+    u_max = old.u_max
 
-    # overflow is legitimate anywhere below: it surfaces as a BlowUp status
-    with np.errstate(over="ignore", invalid="ignore"):
-        ops_old = _stencil(v_old, d) if state._ops is None else state._ops
-        dt = _clip_dt(_dt_limit(u_max, params.chi * ops_old[0], params, d, cfg), cfg)
-        if state.steps == 0:
-            dt = min(dt, cfg.dt_init)
-        dt = min(dt, remaining)
+    dt = _clip_dt(_dt_limit(u_max, old.grad, old.g_max, params, d, cfg), cfg)
+    if state.steps == 0:
+        dt = min(dt, cfg.dt_init)
+    dt = min(dt, remaining)
 
-        # The advective CFL must hold against the signal the fluxes will see,
-        # which only exists after the implicit solve; re-solve with a smaller
-        # dt in the rare steps where the fresh signal steepened past the
-        # margin. Shrinking dt pulls v_new toward v_old, so this settles fast.
-        attempts = 0
-        while True:
-            rhs = (params.tau / dt) * v_old + u_old
-            try:
-                solved, g, lap = _solve_helmholtz(
-                    rhs, params.tau / dt + 1.0, d, cfg.helmholtz_tol,
-                    cfg.helmholtz_maxiter, v_old, ops_old)
-            except HelmholtzError as exc:
-                if not math.isfinite(exc.residual):
-                    # arithmetic overflow from astronomically large fields:
-                    # that is blow-up territory, not a solver defect
-                    return replace(state, t=state.t + dt, steps=state.steps + 1,
-                                   status=RunStatus.BLOWUP)
-                raise
-            # the exact solve maps nonnegative data to a nonnegative signal;
-            # residual noise may undershoot by up to the solve tolerance
-            v_new, v_lo, v_hi = _clamp_roundoff(
-                solved, band=max(1.0e-13, 10.0 * cfg.helmholtz_tol))
-            if v_new is not solved:
-                g, lap = _stencil(v_new, d)
-            w = params.chi * g
-            dt_pos = _dt_limit(u_max, w, params, d, cfg)
-            attempts += 1
-            if dt <= dt_pos or dt <= cfg.dt_min or attempts >= 5:
-                break
-            dt = max(cfg.dt_min, dt_pos)
-        # stepping outside the provable-positivity region (dt floored at dt_min)
-        pinned = dt > dt_pos * (1.0 + 1e-9)
+    # The advective CFL must hold against the signal the fluxes will see,
+    # which only exists after the implicit solve; re-solve with a smaller
+    # dt in the rare steps where the fresh signal steepened past the
+    # margin. Shrinking dt pulls v_new toward v_old, so this settles fast.
+    attempts = 0
+    while True:
+        rhs = (params.tau / dt) * v_old + u_old
+        try:
+            solved, g, lap = _solve_helmholtz(
+                rhs, params.tau / dt + 1.0, d, cfg.helmholtz_tol,
+                cfg.helmholtz_maxiter, v_old, old[:2])
+        except HelmholtzError as exc:
+            if not math.isfinite(exc.residual):
+                # arithmetic overflow from astronomically large fields:
+                # that is blow-up territory, not a solver defect
+                return replace(state, t=state.t + dt, steps=state.steps + 1,
+                               status=RunStatus.BLOWUP)
+            raise
+        # the exact solve maps nonnegative data to a nonnegative signal;
+        # residual noise may undershoot by up to the solve tolerance
+        v_new, v_lo, v_hi = _clamp_roundoff(
+            solved, band=max(1.0e-13, 10.0 * cfg.helmholtz_tol))
+        if v_new is not solved:
+            g, lap = _stencil(v_new, d)
+        g_max = _face_max(g)
+        dt_pos = _dt_limit(u_max, g, g_max, params, d, cfg)
+        attempts += 1
+        if dt <= dt_pos or dt <= cfg.dt_min or attempts >= 5:
+            break
+        dt = max(cfg.dt_min, dt_pos)
+    # stepping outside the provable-positivity region (dt floored at dt_min)
+    pinned = dt > dt_pos * (1.0 + 1e-9)
 
-        u_up = _upper(u_old, d)
-        flux = _divergence(_diffusive_flux(u_old, u_up, params, d)
-                           - _upwind_flux(u_old, u_up, w), d)
-        if params.reaction_on:
-            u_new = ((u_old + dt * (flux + params.a * u_old))
-                     / (1.0 + dt * params.mu * u_old))
-        else:
-            u_new = u_old + dt * flux
+    w = params.chi * g
+    u_up = _upper(u_old, d)
+    flux = _divergence(_diffusive_flux(u_old, u_up, params, d)
+                       - _upwind_flux(u_old, u_up, w), d)
+    if params.reaction_on:
+        u_raw = ((u_old + dt * (flux + params.a * u_old))
+                 / (1.0 + dt * params.mu * u_old))
+    else:
+        u_raw = u_old + dt * flux
     # pinned means out of the stability region: detection mode, where every
     # negative value is clamped to keep the state usable
-    u_new, u_lo, sup_u_new = _clamp_roundoff(u_new, math.inf if pinned else 1.0e-13)
+    u_new, u_lo, sup_u_new = _clamp_roundoff(u_raw, math.inf if pinned else 1.0e-13)
+    # a clamp that fired zeroed every negative entry, so the new minimum is 0
+    u_extrema = (u_lo, sup_u_new) if u_new is u_raw else (0.0, max(sup_u_new, 0.0))
 
     t_new = state.t + dt
     status = RunStatus.RUNNING
@@ -373,15 +424,12 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
             status = RunStatus.STALLED_DT
         elif t_new >= cfg.t_end - 1.0e-12 * cfg.t_end:
             status = RunStatus.FINISHED
-    new = SimState(
-        t=t_new,
-        u=Field._wrap(u_new, d),
-        v=Field._wrap(v_new, d),
-        steps=state.steps + 1,
-        status=status,
-        stall_steps=stall,
-    )
-    object.__setattr__(new, "_ops", (g, lap))
+    # built past the dataclass __init__, which costs a few percent of a
+    # step on tiny grids; the fields are the same
+    new = object.__new__(SimState)
+    new.__dict__.update(t=t_new, u=Field._wrap(u_new, d), v=Field._wrap(v_new, d),
+                        steps=state.steps + 1, status=status, stall_steps=stall,
+                        _carry=_Carry(g, lap, g_max, *u_extrema))
     return new
 
 
@@ -394,7 +442,7 @@ def _clamp_roundoff(vals: np.ndarray, band: float = 1.0e-13
     with the minimum and maximum of the input; a NaN or infinite entry shows
     up in one of the two.
     """
-    lo, hi = float(vals.min()), float(vals.max())
+    lo, hi = _amin(vals), _amax(vals)
     if lo < 0.0 and lo >= -band * max(1.0, hi, -lo):
         vals = np.maximum(vals, 0.0)
     return vals, lo, hi
@@ -435,7 +483,9 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
     """Continue stepping an existing state (checkpoint resume path).
 
     Raises ValueError unless both fields are finite and nonnegative: the one
-    check of the data a run starts from, fresh or resumed.
+    check of the data a run starts from, fresh or resumed. The whole loop,
+    observer samples included, runs under one ``np.errstate`` that lets
+    overflow through silently, as :func:`step` does for one step.
     """
     if not all(np.isfinite(f).all() and f.min() >= 0.0
                for f in (state.u.values, state.v.values)):
@@ -451,15 +501,17 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
         if capture_fields:
             snapshots.append((state.t, state.u.copy(), state.v.copy()))
 
-    observe(state, 0.0)
-    while state.status is RunStatus.RUNNING:
-        if state.steps - start_steps >= cfg.max_steps:
-            state = replace(state, status=RunStatus.STALLED_DT)
-            break
-        prev_t = state.t
-        state = step(state, params, cfg)
-        if state.steps % cfg.observer_stride == 0 or state.status is not RunStatus.RUNNING:
-            observe(state, state.t - prev_t)
-    if series[-1].t != state.t or series[-1].status != state.status.value:
+    with np.errstate(over="ignore", invalid="ignore"):
         observe(state, 0.0)
+        while state.status is RunStatus.RUNNING:
+            if state.steps - start_steps >= cfg.max_steps:
+                state = replace(state, status=RunStatus.STALLED_DT)
+                break
+            prev_t = state.t
+            state = _step(state, params, cfg)
+            if (state.steps % cfg.observer_stride == 0
+                    or state.status is not RunStatus.RUNNING):
+                observe(state, state.t - prev_t)
+        if series[-1].t != state.t or series[-1].status != state.status.value:
+            observe(state, 0.0)
     return RunResult(final=state, series=series, snapshots=snapshots)

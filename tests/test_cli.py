@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kellerscope
-from kellerscope import sweep
+from kellerscope import cli, sweep
 from kellerscope.cli import main
 
 STEADY_CONFIG = """\
@@ -116,6 +116,15 @@ def test_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "all" in out and "passed" in out
+
+
+def test_failed_check_exits_ten(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "c2_constant", lambda: 0.3)
+    assert main(["check"]) == 10
+    out, err = capsys.readouterr()
+    n = sum(line.startswith(("ok  ", "FAIL")) for line in out.splitlines())
+    assert "FAIL c2 constant" in out
+    assert err.strip() == f"error: 1 of {n} checks failed"
 
 
 def test_sweep_writes_records_and_regime_map(tmp_path):

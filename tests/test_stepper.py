@@ -1,9 +1,12 @@
 """Helmholtz solves, step-size control, IMEX stepping, run orchestration."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from kellerscope import (Domain, Field, HelmholtzError, ModelParams, RunStatus,
                          SimState, StepperConfig, integrate, run, run_state,
@@ -189,6 +192,20 @@ def test_stable_dt_rates_add():
     both = stable_dt(u, ramp, p, d, cfg_with())
     assert both < stable_dt(u, flat, p, d, cfg_with())
     assert 1.0 / both >= 1.0 / stable_dt(u, flat, p, d, cfg_with())
+
+
+@settings(max_examples=300)
+@given(x=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=6),
+                elements=st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([0.0, -0.0])),
+       view=st.sampled_from(["whole", "transposed", "strided"]))
+def test_extrema_by_index_match_numpy_property(x, view):
+    # the step's reductions: NaN wins as in np.max, and a view of any layout
+    x = {"whole": x, "transposed": x.T, "strided": x[..., ::2]}[view]
+    for fast, ref in ((stepper._amax, np.max), (stepper._amin, np.min)):
+        got, want = fast(x), float(ref(x))
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # ----------------------------------------------------------------------- step
@@ -437,7 +454,9 @@ def test_run_state_resumes_consistently():
 
 def _carry_case(name):
     """(params, cfg, initial state) whose first step takes the named path:
-    a plain single-pass solve, the v round-off clamp, or the CFL re-solve."""
+    a plain single-pass solve, the v round-off clamp, the CFL re-solve, the
+    u round-off clamp, a step pinned at dt_min, or the dt rule's drain
+    branch."""
     if name.startswith("plain"):
         d = Domain((1.0,), (24,)) if name.endswith("1d") else Domain((1.0, 1.0), (12, 12))
         p = ModelParams(tau=0.8, chi=1.3, mu=1.0, a=1.0, k=0.5, p=1.0)
@@ -454,24 +473,49 @@ def _carry_case(name):
         u0, v0 = Field.constant(d, 0.0), Field(v, d)
         cfg = StepperConfig(dt_init=1e-6, dt_min=1e-10, dt_max=1e-2, t_end=0.01,
                             observer_stride=3, blowup_threshold=1e6)
+    elif name == "uclamp-1d":
+        # a lone density spike, diffusion alone at safety 1: the step empties
+        # the spike's cell exactly, up to a rounding-level negative that the
+        # density's round-off clamp removes (chi too weak to move the dt rule)
+        d = Domain((1.0,), (5,))
+        p = ModelParams(tau=1.0, chi=1e-300, mu=1.0, k=0.5, reaction_on=False)
+        u = np.zeros(d.shape)
+        u[2] = 1.0
+        u0, v0 = Field(u, d), Field.constant(d, 0.0)
+        cfg = StepperConfig(dt_init=1.0, dt_min=1e-12, dt_max=1.0, safety=1.0,
+                            t_end=0.3, observer_stride=3, blowup_threshold=1e6)
+    elif name == "drain-1d":
+        # v has a sharp minimum in cell 1, which drains through both faces
+        d = Domain((1.0,), (4,))
+        u0 = Field(np.array([0.51182162, 0.9504637, 0.14415961, 0.94864945]), d)
+        v0 = Field(np.array([0.54959369, 0.02755911, 0.75351311, 0.53814331]), d)
+        p = ModelParams(tau=1.0, chi=9.0, mu=1.0, k=1.0, reaction_on=False)
+        cfg = StepperConfig(dt_init=0.1, dt_min=1e-10, dt_max=0.1, t_end=0.1,
+                            observer_stride=3, blowup_threshold=1e6)
     else:
         # a flat signal under a tall bump steepens past the advective CFL
-        # within one step, so the step re-solves with a smaller dt
+        # within one step, so the step re-solves with a smaller dt; with
+        # dt_min at dt_max it cannot, and the step is pinned instead
         d = Domain((1.0,), (24,)) if name.endswith("1d") else Domain((1.0, 1.0), (12, 12))
         p = ModelParams(tau=1.0, chi=8.0, mu=1.0, a=0.0, k=0.01, p=0.0,
                         reaction_on=False)
         u0, _ = build_ic(ICSpec("gaussian_bump", 30.0, 0.1), d)
         v0 = Field.constant(d, 0.0)
-        cfg = StepperConfig(dt_init=1e-2, dt_min=1e-10, dt_max=1e-2, t_end=0.05,
-                            observer_stride=3, blowup_threshold=1e6)
+        pinned = name.startswith("pinned")
+        cfg = StepperConfig(dt_init=1e-2, dt_min=1e-2 if pinned else 1e-10, dt_max=1e-2,
+                            t_end=0.1 if pinned else 0.05, observer_stride=3,
+                            blowup_threshold=1e6)
     return p, cfg, SimState(t=0.0, u=u0, v=v0)
 
 
 def _spy_step(monkeypatch, state, p, cfg):
-    """One step, with the number of signal solves it took and whether the
-    signal's round-off clamp changed the solution."""
-    solves, clamped = [], []
-    solve, clamp = stepper._solve_helmholtz, stepper._clamp_roundoff
+    """One step, with the set of paths it took: "resolve" (more than one
+    signal solve), "v-clamp" and "u-clamp" (a round-off clamp changed the
+    field), "pinned" (the density's clamp band is infinite) and "drain"
+    (the dt rule took the fastest outflow)."""
+    solves, clamps, drains = [], [], []
+    solve, clamp, outflow = (stepper._solve_helmholtz, stepper._clamp_roundoff,
+                             stepper._max_outflow)
 
     def counted_solve(*args):
         solves.append(1)
@@ -479,15 +523,22 @@ def _spy_step(monkeypatch, state, p, cfg):
 
     def watched_clamp(vals, band=1.0e-13):
         out = clamp(vals, band)
-        if len(clamped) < len(solves):   # the signal's clamp follows its solve
-            clamped.append(out[0] is not vals)
+        clamps.append((band, out[0] is not vals))
         return out
+
+    def counted_outflow(w, d):
+        drains.append(1)
+        return outflow(w, d)
 
     monkeypatch.setattr(stepper, "_solve_helmholtz", counted_solve)
     monkeypatch.setattr(stepper, "_clamp_roundoff", watched_clamp)
+    monkeypatch.setattr(stepper, "_max_outflow", counted_outflow)
     new = step(state, p, cfg)
     monkeypatch.undo()
-    return new, len(solves), any(clamped)
+    *v_clamps, (u_band, u_clamped) = clamps   # one per solve, then the density's
+    taken = {"resolve": len(solves) > 1, "v-clamp": any(c for _, c in v_clamps),
+             "u-clamp": u_clamped, "pinned": u_band == np.inf, "drain": bool(drains)}
+    return new, {path for path, hit in taken.items() if hit}
 
 
 def _rebuilt(state):
@@ -495,14 +546,21 @@ def _rebuilt(state):
                     stall_steps=state.stall_steps)
 
 
-@pytest.mark.parametrize("name", ["plain-1d", "plain-2d", "clamp-2d",
-                                  "resolve-1d", "resolve-2d"])
+# the paths each case's first step takes; the chemotaxis of most cases is
+# strong enough to trip the dt rule's drain check
+CARRY_PATHS = {
+    "plain-1d": {"drain"}, "plain-2d": {"drain"}, "clamp-2d": {"v-clamp", "drain"},
+    "resolve-1d": {"resolve", "drain"}, "resolve-2d": {"resolve", "drain"},
+    "uclamp-1d": {"u-clamp"}, "pinned-1d": {"pinned", "drain"}, "drain-1d": {"drain"},
+}
+
+
+@pytest.mark.parametrize("name", list(CARRY_PATHS))
 def test_carried_stencil_is_invisible(monkeypatch, name):
     p, cfg, s0 = _carry_case(name)
-    s1, solves, clamped = _spy_step(monkeypatch, s0, p, cfg)
-    assert s1.status is RunStatus.RUNNING and s1._ops is not None
-    assert clamped == (name == "clamp-2d")
-    assert (solves > 1) == name.startswith("resolve")
+    s1, taken = _spy_step(monkeypatch, s0, p, cfg)
+    assert s1.status is RunStatus.RUNNING and s1._carry is not None
+    assert taken == CARRY_PATHS[name]
     carried = run_state(s1, p, cfg)
     fresh = run_state(_rebuilt(s1), p, cfg)
     assert carried.final.steps == fresh.final.steps > s1.steps + 3
@@ -513,13 +571,27 @@ def test_carried_stencil_is_invisible(monkeypatch, name):
     assert carried.series == fresh.series
 
 
+def test_carried_negative_density_is_rejected(monkeypatch):
+    # the dt rule without its drain branch lets this step empty cell 1 and
+    # overshoot: a negative density far beyond the round-off clamp's band,
+    # which the next step must reject whether or not the state has a carry
+    p, cfg, s0 = _carry_case("drain-1d")
+    monkeypatch.setattr(stepper, "_max_outflow", lambda w, d: 0.0)
+    s1 = step(s0, p, cfg)
+    monkeypatch.undo()
+    assert s1._carry is not None and s1.u.values.min() < -1e-3
+    for state in (s1, _rebuilt(s1)):
+        with pytest.raises(ValueError, match="negative density"):
+            step(state, p, cfg)
+
+
 def test_replaced_signal_drops_carried_stencil():
     from dataclasses import replace
     p, cfg, s0 = _carry_case("plain-2d")
     s1 = step(s0, p, cfg)
     other = Field(np.flip(s1.v.values, axis=0).copy(), s1.domain)
     swapped = replace(s1, v=other)
-    assert s1._ops is not None and swapped._ops is None
+    assert s1._carry is not None and swapped._carry is None
     a = step(swapped, p, cfg)
     b = step(SimState(s1.t, s1.u, other, s1.steps), p, cfg)
     assert a.t == b.t

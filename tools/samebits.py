@@ -1,0 +1,110 @@
+"""Check that two checkouts compute bit-identical runs.
+
+    python3 tools/samebits.py PARENT_DIR CHANGE_DIR [--seed K]
+
+For one seed (default 1), builds the configs of the tiny-fixed-dt and
+damped-2d workloads with the classes of each checkout's own
+``perfbench/workloads.py`` and runs every one of them to its end with that
+checkout's ``kellerscope.run``, one subprocess per checkout. The configs
+are written to a temporary directory; nothing in either checkout changes.
+It compares, per run, the bytes of the final ``u`` and ``v``, the final
+``t``, ``steps`` and ``status``, and every field of every series row. It
+exits 0 when all of them agree, and 1 naming the first difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def _runs(checkout: str, seed: int) -> dict:
+    """Every run of both workloads in ``checkout``, keyed by workload and
+    grid, with floats as hex strings and fields as hex bytes."""
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    import workloads
+    from kellerscope import run
+
+    def row(sample) -> list:
+        return [x.hex() if isinstance(x, float) else x for x in vars(sample).values()]
+
+    out = {}
+    with tempfile.TemporaryDirectory() as work:
+        tiny = workloads.TinyFixedDt(seed, work)
+        tiny.prepare()
+        cases = [(tiny.name, label, cfg, ic) for label, _, cfg, ic in tiny.runs]
+        damped = workloads.Damped2d(seed, work)
+        cases += [(damped.name, label, cfg, ic)
+                  for label, _, cfg, _, ic in damped.layer_sources()]
+        for name, label, cfg, (u0, v0) in cases:
+            res = run(u0, v0, cfg.params, cfg.stepper)
+            final = res.final
+            out[f"{name} {label}"] = {
+                "t": final.t.hex(), "steps": final.steps, "status": final.status.value,
+                "u": final.u.values.tobytes().hex(), "v": final.v.values.tobytes().hex(),
+                "series": [row(s) for s in res.series]}
+    return out
+
+
+def collect(checkout: str, seed: int) -> dict:
+    """``_runs`` of one checkout, computed in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--child",
+                           os.path.abspath(checkout), "--seed", str(seed)],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: runs failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def compare(a: dict, b: dict) -> str | None:
+    """The first difference between two ``collect`` results, or None."""
+    if list(a) != list(b):
+        return f"different runs: {list(a)} vs {list(b)}"
+    for run_name, ra in a.items():
+        rb = b[run_name]
+        for key in ("t", "steps", "status"):
+            if ra[key] != rb[key]:
+                return f"{run_name}: {key} {ra[key]} vs {rb[key]}"
+        for key in ("u", "v"):
+            if ra[key] != rb[key]:
+                cell = next(i for i in range(0, len(ra[key]), 16)
+                            if ra[key][i:i + 16] != rb[key][i:i + 16]) // 16
+                return f"{run_name}: final {key} differs, first at flat cell {cell}"
+        if len(ra["series"]) != len(rb["series"]):
+            return (f"{run_name}: {len(ra['series'])} vs {len(rb['series'])} "
+                    f"series rows")
+        for i, (sa, sb) in enumerate(zip(ra["series"], rb["series"])):
+            if sa != sb:
+                col = next(j for j, (x, y) in enumerate(zip(sa, sb)) if x != y)
+                return f"{run_name}: series row {i} column {col}: {sa[col]} vs {sb[col]}"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", nargs="?")
+    ap.add_argument("change", nargs="?")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        json.dump(_runs(args.child, args.seed), sys.stdout)
+        return 0
+    if not (args.parent and args.change):
+        ap.error("PARENT_DIR and CHANGE_DIR are required")
+    a, b = collect(args.parent, args.seed), collect(args.change, args.seed)
+    diff = compare(a, b)
+    if diff is not None:
+        print(f"differ: {diff}")
+        return 1
+    print(f"bit-identical: {len(a)} runs (final u, v, t, steps, status and "
+          f"{sum(len(r['series']) for r in a.values())} series rows)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

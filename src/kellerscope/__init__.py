@@ -3,12 +3,12 @@ logistic growth on boxes with zero-flux walls."""
 
 from .diagnostics import (RunOutcome, TheoryConstants, TheoryRegime, c2_constant,
                           classify_run, classify_theory, estimate_c_reg,
-                          lgamma_norm, mu_threshold, theta0)
-from .grid import (Domain, Field, GridShapeError, chemotactic_divergence,
-                   diffusive_divergence, integrate, laplacian_neumann)
+                          mu_threshold, theta0)
+from .grid import (Domain, Field, GridShapeError, chemotactic_divergence, integrate,
+                   laplacian_neumann, lgamma_norm)
 from .ic import ICName, ICSpec, build_ic
-from .model import (ModelParams, PhiFamily, g_logistic, homogeneous_steady_state,
-                    phi, rhs_u, rhs_v)
+from .model import (ModelParams, PhiFamily, diffusive_divergence, g_logistic,
+                    homogeneous_steady_state, phi, rhs_u, rhs_v)
 from .stepper import (HelmholtzError, ObserverSample, RunResult, RunStatus,
                       SimState, StepperConfig, run, run_state, solve_helmholtz,
                       stable_dt, step)
@@ -18,12 +18,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Domain", "Field", "GridShapeError", "laplacian_neumann",
-    "diffusive_divergence", "chemotactic_divergence", "integrate",
-    "ModelParams", "PhiFamily", "phi", "g_logistic", "rhs_u", "rhs_v",
-    "homogeneous_steady_state",
+    "chemotactic_divergence", "integrate", "lgamma_norm",
+    "ModelParams", "PhiFamily", "phi", "diffusive_divergence", "g_logistic",
+    "rhs_u", "rhs_v", "homogeneous_steady_state",
     "StepperConfig", "SimState", "RunStatus", "RunResult", "ObserverSample",
     "HelmholtzError", "solve_helmholtz", "stable_dt", "step", "run", "run_state",
-    "TheoryConstants", "TheoryRegime", "RunOutcome", "lgamma_norm",
+    "TheoryConstants", "TheoryRegime", "RunOutcome",
     "c2_constant", "mu_threshold", "theta0", "estimate_c_reg",
     "classify_theory", "classify_run",
     "ICName", "ICSpec", "build_ic",

@@ -51,7 +51,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "a": ("float", "0.0"),
         "k": ("float", "1.0"),
         "p": ("float", "0.0"),
-        "s0_phi": ("float", "2.0"),
         "phi_family": ("enum:canonical,linear", "canonical"),
         "reaction": ("onoff", "on"),
     },

@@ -1,4 +1,5 @@
-"""Norm monitors, explicit theory constants, and outcome classifiers.
+"""Explicit theory constants, the regularity-constant estimator, and
+outcome classifiers. The L^gamma norm monitor lives in :mod:`kellerscope.grid`.
 
 The boundedness threshold theta0 comes from minimizing
 
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Domain, Field, integrate, laplacian_neumann
+from .grid import Field, integrate, laplacian_neumann
 from .model import ModelParams
 from .stepper import ObserverSample, RunStatus, SimState, StepperConfig
 
@@ -62,24 +63,6 @@ class TheoryConstants:
     def compute(cls, gamma0: float, chi: float, C_reg: float) -> "TheoryConstants":
         th, _ = theta0(gamma0, chi, C_reg)
         return cls(gamma0=gamma0, c2=c2_constant(), C_reg=C_reg, theta0=th)
-
-
-def lgamma_norm(u: Field, gamma: float, d: Domain) -> float:
-    """L^gamma norm, (integral of u**gamma) ** (1/gamma), for gamma >= 1.
-
-    Entries within round-off of zero are clipped; genuinely negative data is
-    rejected.
-    """
-    if not gamma >= 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    vals = u.values
-    lo = float(np.min(vals))
-    if lo < 0.0:
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if lo < -1.0e-12 * scale:
-            raise ValueError("lgamma_norm requires a nonnegative field")
-        vals = np.maximum(vals, 0.0)
-    return float(integrate(Field(vals**gamma, d), d) ** (1.0 / gamma))
 
 
 def c2_constant() -> float:

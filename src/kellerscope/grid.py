@@ -1,8 +1,10 @@
-"""Uniform cell-centered grids and the flux-form spatial operators.
+"""Uniform cell-centered grids, the flux-form spatial operators, and the
+cell integrals and L^gamma norms of fields.
 
 All operators enforce zero flux through every boundary face (mirror ghost
 cells), work in flux form so that the discrete integral of their output
-telescopes to zero, and vanish identically on constant fields.
+telescopes to zero, and vanish identically on constant fields. The
+density-dependent diffusion operator lives in :mod:`kellerscope.model`.
 """
 
 from __future__ import annotations
@@ -268,22 +270,6 @@ def laplacian_neumann(f: Field, d: Domain) -> Field:
     return Field._wrap(_laplacian(f.values, d), d)
 
 
-def diffusive_divergence(u: Field, params, d: Domain) -> Field:
-    """Flux-form divergence of phi(u) * grad(u) with zero boundary flux.
-
-    The face diffusivity is phi evaluated at the arithmetic mean of the two
-    adjacent cell values. ``params`` supplies the diffusivity family (see
-    :func:`kellerscope.model.phi`).
-    """
-    from .model import _diffusive_flux  # local import: model builds on grid
-
-    _check_on(u, d)
-    if np.min(u.values) < 0.0:
-        raise ValueError("diffusive_divergence requires a nonnegative density")
-    flux = _diffusive_flux(u.values, _upper(u.values, d), params, d)
-    return Field._wrap(_divergence(flux, d), d)
-
-
 def chemotactic_divergence(u: Field, v: Field, chi: float, d: Domain) -> Field:
     """Flux-form divergence of chi * u * grad(v), donor-cell upwinding.
 
@@ -308,3 +294,21 @@ def integrate(f: Field, d: Domain) -> float:
     """Midpoint-rule integral: sum of cell values times cell volume."""
     _check_on(f, d)
     return float(np.sum(f.values)) * d.cell_volume
+
+
+def lgamma_norm(u: Field, gamma: float, d: Domain) -> float:
+    """L^gamma norm, (integral of u**gamma) ** (1/gamma), for gamma >= 1.
+
+    Entries within round-off of zero are clipped; genuinely negative data is
+    rejected.
+    """
+    if not gamma >= 1.0:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    vals = u.values
+    lo = float(np.min(vals))
+    if lo < 0.0:
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        if lo < -1.0e-12 * scale:
+            raise ValueError("lgamma_norm requires a nonnegative field")
+        vals = np.maximum(vals, 0.0)
+    return float(integrate(Field(vals**gamma, d), d) ** (1.0 / gamma))

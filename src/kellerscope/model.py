@@ -1,4 +1,5 @@
-"""Coefficient families and the semidiscrete right-hand sides.
+"""Coefficient families, the diffusive flux divergence and the semidiscrete
+right-hand sides.
 
 The cell density u diffuses with density-dependent diffusivity phi(u),
 drifts up the gradient of the signal v with sensitivity chi, and grows
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Domain, Field, chemotactic_divergence, diffusive_divergence, laplacian_neumann
+from .grid import (Domain, Field, _check_on, _divergence, _upper, chemotactic_divergence,
+                   laplacian_neumann)
 
 
 class PhiFamily(str, enum.Enum):
@@ -31,7 +33,6 @@ class ModelParams:
     a       linear growth rate, >= 0
     k       diffusivity scale, > 0
     p       diffusivity exponent (canonical family)
-    s0_phi  crossover density above which k*s**p must bound phi from below, > 1
     phi_family   diffusivity family selector
     reaction_on  when False the growth law is switched off entirely (g == 0);
                  this is how "no source" runs are expressed since mu must
@@ -44,7 +45,6 @@ class ModelParams:
     a: float = 0.0
     k: float = 1.0
     p: float = 0.0
-    s0_phi: float = 2.0
     phi_family: PhiFamily = PhiFamily.CANONICAL
     reaction_on: bool = True
 
@@ -57,14 +57,11 @@ class ModelParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.a < 0.0:
             raise ValueError(f"a must be nonnegative, got {self.a}")
-        if not self.s0_phi > 1.0:
-            raise ValueError(f"s0_phi must exceed 1, got {self.s0_phi}")
-        # k*(1+s)**p >= k*s**p for every s > 0, so above s0_phi in
-        # particular, exactly when p >= 0
+        # k*(1+s)**p >= k*s**p for every s > 0 exactly when p >= 0
         if self.phi_family is PhiFamily.CANONICAL and not self.p >= 0.0:
             raise ValueError(
                 f"p must be >= 0 for canonical diffusivity, got {self.p}: "
-                f"k*(1+s)**p then falls below k*s**p above s0_phi={self.s0_phi}"
+                "k*(1+s)**p then falls below k*s**p for every s > 0"
             )
 
 
@@ -94,6 +91,20 @@ def _diffusive_flux(u: np.ndarray, u_up: np.ndarray, params: ModelParams,
     # a constant diffusivity (p == 0) needs no face mean
     face_phi = params.k if params.p == 0.0 else _phi(0.5 * (u + u_up), params)
     return face_phi * (u_up - u) / d._h
+
+
+def diffusive_divergence(u: Field, params: ModelParams, d: Domain) -> Field:
+    """Flux-form divergence of phi(u) * grad(u) with zero boundary flux.
+
+    The face diffusivity is phi evaluated at the arithmetic mean of the two
+    adjacent cell values. ``params`` supplies the diffusivity family (see
+    :func:`phi`).
+    """
+    _check_on(u, d)
+    if np.min(u.values) < 0.0:
+        raise ValueError("diffusive_divergence requires a nonnegative density")
+    flux = _diffusive_flux(u.values, _upper(u.values, d), params, d)
+    return Field._wrap(_divergence(flux, d), d)
 
 
 def g_logistic(s, params: ModelParams):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (Domain, Field, _divergence, _eigenbasis, _grad, _upper, _upwind_flux,
-                   integrate)
+                   integrate, lgamma_norm)
 from .model import ModelParams, _diffusive_flux, _phi
 
 
@@ -75,18 +75,20 @@ class StepperConfig:
             raise ValueError(f"safety must lie in (0, 1], got {self.safety}")
         if self.blowup_threshold is not None and not self.blowup_threshold > 1.0:
             raise ValueError(f"blowup_threshold must exceed 1, got {self.blowup_threshold}")
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.observer_stride < 1:
-            raise ValueError(f"observer_stride must be >= 1, got {self.observer_stride}")
-        if not self.series_gamma >= 1.0:
-            raise ValueError(f"series_gamma must be >= 1, got {self.series_gamma}")
+        for name in ("t_end", "helmholtz_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, low in (("observer_stride", 1), ("series_gamma", 1), ("stall_patience", 1),
+                          ("max_steps", 1), ("helmholtz_maxiter", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 class _Carry(NamedTuple):
-    """What the step that made a state already knows about it: the one
-    stencil pass of its signal, that gradient's per-axis maxima and the
-    extrema of its density (after the round-off clamp)."""
+    """What a run knows about its current state between two steps: the
+    one stencil pass of its signal, that gradient's per-axis maxima and the
+    extrema of its density (after the round-off clamp). :func:`_carry_of`
+    computes it from a state's arrays; :func:`_step` returns the next one."""
 
     grad: np.ndarray        # face gradient of v (see _stencil)
     lap: np.ndarray         # Laplacian of v
@@ -99,15 +101,9 @@ class _Carry(NamedTuple):
 class SimState:
     """Snapshot of a simulation: time, both fields, bookkeeping.
 
-    A state made by :func:`step` carries to the next step what that step
-    computed about it: its signal's face gradient and Laplacian, the
-    per-axis maxima of that gradient, and its density's minimum and
-    maximum after the round-off clamp. The next step's negative-density
-    check reads the carried minimum, and its dt rule and blow-up test the
-    maxima. Any other way of building a state
-    (``SimState(...)``, ``dataclasses.replace``, a snapshot read) starts
-    without a carry and the next step recomputes it. A state's arrays must
-    therefore not be mutated in place.
+    A plain value. :func:`step` and :func:`run_state` compute what they need
+    to know about a state from these fields when they are called, however
+    the state was made, so an array edited in place between calls is seen.
     """
 
     t: float
@@ -116,8 +112,6 @@ class SimState:
     steps: int = 0
     status: RunStatus = RunStatus.RUNNING
     stall_steps: int = 0   # consecutive dt-pinned steps with growing sup-norm
-    # what the step that made this state computed about it; see _Carry
-    _carry: _Carry | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def domain(self) -> Domain:
@@ -331,30 +325,38 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
 
     Raises ValueError for a state that is not running or whose density has
     a negative entry; this is the one validation of the density per step.
-    It reads the density's minimum from the state's carry when the state
-    has one (see :class:`SimState`): the minimum after the clamp, so a
-    negative entry the clamp left is still rejected.
+    Everything the step reads about the state (the density's extrema, the
+    signal's gradient and Laplacian) is computed from its arrays on every
+    call; only :func:`run_state` carries it from one step to the next.
     """
     # overflow is legitimate anywhere in a step: it surfaces as a BlowUp status
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(state, params, cfg)
+        return _step(state, _carry_of(state), params, cfg)[0]
 
 
-def _step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
-    """:func:`step` without its ``np.errstate``, which the caller holds."""
+def _carry_of(state: SimState) -> _Carry:
+    """The carry of a state, computed from its arrays. This is the only
+    place that does so: within a run, each step returns the next one."""
+    u, d = state.u.values, state.domain
+    g, lap = _stencil(state.v.values, d)
+    return _Carry(g, lap, _face_max(g), _amin(u), _amax(u))
+
+
+def _step(state: SimState, old: _Carry, params: ModelParams,
+          cfg: StepperConfig) -> tuple[SimState, _Carry]:
+    """:func:`step` from the carry ``old`` of ``state``, without the
+    ``np.errstate``, which the caller holds. Returns the new state with its
+    carry: the density's extrema after the clamp, so a negative entry the
+    clamp left is still rejected by the next step."""
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
     d = state.domain
     u_old, v_old = state.u.values, state.v.values
-    old = state._carry
-    if old is None:   # not made by step: compute what its carry would hold
-        g, lap = _stencil(v_old, d)
-        old = _Carry(g, lap, _face_max(g), _amin(u_old), _amax(u_old))
     if old.u_min < 0.0:
         raise ValueError("cannot step a state with a negative density")
     remaining = cfg.t_end - state.t
     if remaining <= 0.0:
-        return replace(state, status=RunStatus.FINISHED)
+        return replace(state, status=RunStatus.FINISHED), old
     u_max = old.u_max
 
     dt = _clip_dt(_dt_limit(u_max, old.grad, old.g_max, params, d, cfg), cfg)
@@ -378,7 +380,7 @@ def _step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
                 # arithmetic overflow from astronomically large fields:
                 # that is blow-up territory, not a solver defect
                 return replace(state, t=state.t + dt, steps=state.steps + 1,
-                               status=RunStatus.BLOWUP)
+                               status=RunStatus.BLOWUP), old
             raise
         # the exact solve maps nonnegative data to a nonnegative signal;
         # residual noise may undershoot by up to the solve tolerance
@@ -428,9 +430,8 @@ def _step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
     # step on tiny grids; the fields are the same
     new = object.__new__(SimState)
     new.__dict__.update(t=t_new, u=Field._wrap(u_new, d), v=Field._wrap(v_new, d),
-                        steps=state.steps + 1, status=status, stall_steps=stall,
-                        _carry=_Carry(g, lap, g_max, *u_extrema))
-    return new
+                        steps=state.steps + 1, status=status, stall_steps=stall)
+    return new, _Carry(g, lap, g_max, *u_extrema)
 
 
 def _clamp_roundoff(vals: np.ndarray, band: float = 1.0e-13
@@ -449,8 +450,6 @@ def _clamp_roundoff(vals: np.ndarray, band: float = 1.0e-13
 
 
 def _sample(state: SimState, dt: float, gamma: float) -> ObserverSample:
-    from .diagnostics import lgamma_norm
-
     d = state.domain
     u_safe = Field(np.maximum(state.u.values, 0.0), d)
     return ObserverSample(
@@ -483,9 +482,12 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
     """Continue stepping an existing state (checkpoint resume path).
 
     Raises ValueError unless both fields are finite and nonnegative: the one
-    check of the data a run starts from, fresh or resumed. The whole loop,
-    observer samples included, runs under one ``np.errstate`` that lets
-    overflow through silently, as :func:`step` does for one step.
+    check of the data a run starts from, fresh or resumed. The carry of the
+    starting state is computed from its arrays once, after that check, and
+    each step hands the next its own (see :class:`_Carry`); nothing outside
+    the loop sees it. The whole loop, observer samples included, runs under
+    one ``np.errstate`` that lets overflow through silently, as :func:`step`
+    does for one step.
     """
     if not all(np.isfinite(f).all() and f.min() >= 0.0
                for f in (state.u.values, state.v.values)):
@@ -502,13 +504,14 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
             snapshots.append((state.t, state.u.copy(), state.v.copy()))
 
     with np.errstate(over="ignore", invalid="ignore"):
+        carry = _carry_of(state)
         observe(state, 0.0)
         while state.status is RunStatus.RUNNING:
             if state.steps - start_steps >= cfg.max_steps:
                 state = replace(state, status=RunStatus.STALLED_DT)
                 break
             prev_t = state.t
-            state = _step(state, params, cfg)
+            state, carry = _step(state, carry, params, cfg)
             if (state.steps % cfg.observer_stride == 0
                     or state.status is not RunStatus.RUNNING):
                 observe(state, state.t - prev_t)

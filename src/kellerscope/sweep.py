@@ -80,7 +80,6 @@ class RunRecord:
     mu: float
     p: float
     replica: int
-    params: ModelParams = field(compare=False)
     outcome: RunOutcome = RunOutcome.UNDECIDED
     sup_u_max: float = 0.0
     t_final: float = 0.0
@@ -139,7 +138,6 @@ def _execute(task: _Task) -> RunRecord:
         outcome = classify_run(result.final, result.series, spec.base_cfg)
         return RunRecord(
             chi=task.chi, mu=task.mu, p=task.p, replica=task.replica,
-            params=params,
             outcome=outcome,
             sup_u_max=max(s.sup_u for s in result.series),
             t_final=result.final.t,
@@ -156,7 +154,6 @@ def _failed(task: _Task, exc: BaseException,
     """The Undecided record of a cell that raised or whose worker died."""
     return RunRecord(
         chi=task.chi, mu=task.mu, p=task.p, replica=task.replica,
-        params=task.spec.base_params,
         outcome=RunOutcome.UNDECIDED,
         theory_prediction=prediction,
         note=f"error: {exc}",

@@ -29,7 +29,6 @@ mu = 4.0
 a = 1.0
 k = 0.3
 p = 1.5
-s0_phi = 3.0
 phi_family = canonical
 reaction = on
 
@@ -101,7 +100,18 @@ def test_constraint_error_names_key_and_line():
     for text, line, key in (("[model]\ntau = 1.0\nmu = -1\n", 3, "mu"),
                             ("[model]\np = -1\ntau = 1.0\n", 2, "p"),
                             ("[stepper]\ndt_min = 1.0\ndt_max = 2.0\nt_end = 3.0\n",
-                             2, "dt_min")):
+                             2, "dt_min"),
+                            ("[stepper]\nt_end = 3.0\nstall_patience = 0\n",
+                             3, "stall_patience"),
+                            ("[stepper]\nstall_patience = -2\nt_end = 3.0\n",
+                             2, "stall_patience"),
+                            ("[stepper]\nt_end = 3.0\nmax_steps = 0\n", 3, "max_steps"),
+                            ("[stepper]\nhelmholtz_tol = -1\nt_end = 3.0\n",
+                             2, "helmholtz_tol"),
+                            ("[stepper]\nt_end = 3.0\nhelmholtz_tol = 0.0\n",
+                             3, "helmholtz_tol"),
+                            ("[stepper]\nhelmholtz_maxiter = -1\nt_end = 3.0\n",
+                             2, "helmholtz_maxiter")):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert any(ln == line and key in msg for ln, msg in err.value.problems), text
@@ -132,10 +142,11 @@ def test_duplicate_key_is_an_error_not_last_wins():
 
 
 def test_unknown_key_and_section_rejected():
-    with pytest.raises(ConfigError) as err:
-        parse_config("[model]\nchy = 1.0\n")
-    assert any("unknown key 'chy'" in msg and ln == 2
-               for ln, msg in err.value.problems)
+    for key in ("chy", "s0_phi"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[model]\n{key} = 2.0\n")
+        assert any(f"unknown key '{key}'" in msg and ln == 2
+                   for ln, msg in err.value.problems)
     with pytest.raises(ConfigError) as err:
         parse_config("[modell]\nchi = 1.0\n")
     assert any("unknown section" in msg for _, msg in err.value.problems)
@@ -235,7 +246,7 @@ def run_configs(draw):
                     tuple(draw(st.integers(3, 12)) for _ in range(dim)))
     params = ModelParams(
         tau=draw(_POS), chi=draw(_POS), mu=draw(_POS), a=draw(_NONNEG),
-        k=draw(_POS), p=draw(_NONNEG), s0_phi=draw(_ABOVE_ONE),
+        k=draw(_POS), p=draw(_NONNEG),
         phi_family=draw(st.sampled_from(PhiFamily)), reaction_on=draw(st.booleans()))
     dt_min, dt_init, dt_max = sorted(draw(st.lists(_POS, min_size=3, max_size=3)))
     stepper = StepperConfig(
@@ -244,7 +255,7 @@ def run_configs(draw):
         blowup_threshold=draw(st.none() | _ABOVE_ONE), t_end=draw(_POS),
         observer_stride=draw(st.integers(1, 10**6)),
         series_gamma=draw(st.floats(1.0, 1e3)),
-        stall_patience=draw(st.integers(0, 10**4)),
+        stall_patience=draw(st.integers(1, 10**4)),
         max_steps=draw(st.integers(1, 10**9)), helmholtz_tol=draw(_POS),
         helmholtz_maxiter=draw(st.integers(1, 10**5)))
     ic = ICSpec(draw(st.sampled_from(ICName)), draw(_NONNEG), draw(_POS))

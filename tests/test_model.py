@@ -19,7 +19,7 @@ def params(**kw):
 
 @pytest.mark.parametrize("bad", [
     dict(tau=0.0), dict(tau=-1.0), dict(chi=0.0), dict(mu=0.0),
-    dict(a=-0.5), dict(k=0.0), dict(s0_phi=1.0), dict(s0_phi=0.5),
+    dict(a=-0.5), dict(k=0.0),
 ])
 def test_params_validation(bad):
     with pytest.raises(ValueError):
@@ -52,7 +52,7 @@ def test_phi_canonical_value():
 
 
 def test_phi_lower_bound_scan_quadratic():
-    p = params(k=1.0, p=2.0, s0_phi=2.0)
+    p = params(k=1.0, p=2.0)
     s = np.geomspace(2.0, 1.0e4, 200)
     assert np.all(phi(s, p) >= s**2)
 

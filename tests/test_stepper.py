@@ -555,48 +555,72 @@ CARRY_PATHS = {
 }
 
 
+def _stepped(state, p, cfg):
+    """The final state of a loop of public step() calls, which computes
+    everything about each state from its arrays."""
+    while state.status is RunStatus.RUNNING:
+        state = step(state, p, cfg)
+    return state
+
+
 @pytest.mark.parametrize("name", list(CARRY_PATHS))
 def test_carried_stencil_is_invisible(monkeypatch, name):
     p, cfg, s0 = _carry_case(name)
     s1, taken = _spy_step(monkeypatch, s0, p, cfg)
-    assert s1.status is RunStatus.RUNNING and s1._carry is not None
+    assert s1.status is RunStatus.RUNNING
     assert taken == CARRY_PATHS[name]
-    carried = run_state(s1, p, cfg)
-    fresh = run_state(_rebuilt(s1), p, cfg)
-    assert carried.final.steps == fresh.final.steps > s1.steps + 3
-    assert carried.final.status is fresh.final.status
-    assert carried.final.t == fresh.final.t
-    assert np.array_equal(carried.final.u.values, fresh.final.u.values)
-    assert np.array_equal(carried.final.v.values, fresh.final.v.values)
-    assert carried.series == fresh.series
+    carried = run_state(s0, p, cfg).final
+    fresh = _stepped(s0, p, cfg)
+    assert carried.steps == fresh.steps > 3
+    assert carried.status is fresh.status
+    assert carried.t == fresh.t
+    assert np.array_equal(carried.u.values, fresh.u.values)
+    assert np.array_equal(carried.v.values, fresh.v.values)
 
 
 def test_carried_negative_density_is_rejected(monkeypatch):
     # the dt rule without its drain branch lets this step empty cell 1 and
     # overshoot: a negative density far beyond the round-off clamp's band,
-    # which the next step must reject whether or not the state has a carry
+    # which the next step and a run from it must reject
     p, cfg, s0 = _carry_case("drain-1d")
     monkeypatch.setattr(stepper, "_max_outflow", lambda w, d: 0.0)
     s1 = step(s0, p, cfg)
     monkeypatch.undo()
-    assert s1._carry is not None and s1.u.values.min() < -1e-3
+    assert s1.u.values.min() < -1e-3
     for state in (s1, _rebuilt(s1)):
         with pytest.raises(ValueError, match="negative density"):
             step(state, p, cfg)
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_state(state, p, cfg)
 
 
-def test_replaced_signal_drops_carried_stencil():
-    from dataclasses import replace
-    p, cfg, s0 = _carry_case("plain-2d")
-    s1 = step(s0, p, cfg)
-    other = Field(np.flip(s1.v.values, axis=0).copy(), s1.domain)
-    swapped = replace(s1, v=other)
-    assert s1._carry is not None and swapped._carry is None
-    a = step(swapped, p, cfg)
-    b = step(SimState(s1.t, s1.u, other, s1.steps), p, cfg)
-    assert a.t == b.t
-    assert np.array_equal(a.u.values, b.u.values)
-    assert np.array_equal(a.v.values, b.v.values)
+def _edit_case(d):
+    p = ModelParams(tau=1.0, chi=2.0, mu=1.0, a=1.0, k=0.5)
+    u0, v0 = build_ic(ICSpec("gaussian_bump", 2.0, 0.15), d)
+    cfg = StepperConfig(dt_max=1e-2, t_end=0.3, blowup_threshold=1e6)
+    return p, cfg, step(SimState(t=0.0, u=u0, v=v0), p, cfg)
+
+
+@pytest.mark.parametrize("d, value", [(Domain((1.0,), (16,)), -0.5),
+                                      (Domain((1.0, 1.0), (6, 6)), -0.2)])
+def test_density_set_negative_in_place_is_rejected(d, value):
+    p, cfg, s1 = _edit_case(d)
+    s1.u.values.flat[3] = value
+    with pytest.raises(ValueError, match="negative density"):
+        step(s1, p, cfg)
+
+
+def test_signal_scaled_in_place_runs_as_a_rebuilt_state():
+    p, cfg, s1 = _edit_case(Domain((1.0,), (16,)))
+    v = s1.v.values
+    v *= 3.0
+    edited = run_state(s1, p, cfg).final
+    rebuilt = run_state(SimState(s1.t, s1.u.copy(), s1.v.copy(), s1.steps), p, cfg).final
+    assert edited.steps == rebuilt.steps > s1.steps + 3
+    assert edited.status is rebuilt.status is RunStatus.FINISHED
+    assert edited.t == rebuilt.t
+    assert np.array_equal(edited.u.values, rebuilt.u.values)
+    assert np.array_equal(edited.v.values, rebuilt.v.values)
 
 
 @pytest.mark.parametrize("name", ["plain-1d", "plain-2d"])
@@ -616,12 +640,16 @@ def test_carried_step_takes_one_signal_stencil(monkeypatch, name):
 
     monkeypatch.setattr(stepper, "_grad", counted_grad)
     monkeypatch.setattr(stepper, "_divergence", counted_divergence)
-    s1 = step(s0, p, cfg)        # fresh state: its own stencil, then the result's
-    assert (len(grads), len(laps)) == (2, 2)
-    grads.clear()
-    laps.clear()
-    step(s1, p, cfg)
-    assert (len(grads), len(laps)) == (1, 1)
+    # a run: the starting state's stencil, then one per state a step makes
+    final = run_state(s0, p, cfg).final
+    assert final.steps > 3
+    assert (len(grads), len(laps)) == (final.steps + 1, final.steps + 1)
+    # the public step: the given state's stencil, then the result's
+    for state in (s0, step(s0, p, cfg)):
+        grads.clear()
+        laps.clear()
+        step(state, p, cfg)
+        assert (len(grads), len(laps)) == (2, 2)
 
 
 def test_self_convergence_order_window():

@@ -134,8 +134,7 @@ def test_sweep_records_failures_as_undecided():
 
 def rec(chi, mu, p, replica, outcome,
         prediction=TheoryRegime.CRITICAL_BOUNDED_BY_LOGISTIC):
-    params = ModelParams(tau=1.0, chi=chi, mu=mu, a=1.0, phi_family="linear")
-    return RunRecord(chi=chi, mu=mu, p=p, replica=replica, params=params,
+    return RunRecord(chi=chi, mu=mu, p=p, replica=replica,
                      outcome=outcome, theory_prediction=prediction)
 
 

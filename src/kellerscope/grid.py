@@ -230,7 +230,10 @@ def _divergence(flux: np.ndarray, d: Domain) -> np.ndarray:
             div[f_first] = flux[f_first]
             np.subtract(flux[f_hi], flux[f_lo], out=div[f_hi])
     div /= d._h
-    return sum(div[1:], div[0])   # the axes in order, as add.reduce sums them
+    total = div[0]
+    for k in range(1, d.dim):   # the axes in order, as add.reduce sums them
+        total = total + div[k]
+    return total
 
 
 def _laplacian(vals: np.ndarray, d: Domain) -> np.ndarray:

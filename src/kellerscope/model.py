@@ -10,6 +10,7 @@ tau * v_t = lap(v) - v + u.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,8 @@ class PhiFamily(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model coefficients. Immutable and validated at construction.
+    """Model coefficients. Immutable and validated at construction; every
+    numeric coefficient must be finite.
 
     tau     relaxation time of the signal equation, > 0
     chi     chemotactic sensitivity, > 0
@@ -52,6 +54,9 @@ class ModelParams:
         object.__setattr__(self, "phi_family", PhiFamily(self.phi_family))
         if self.phi_family is PhiFamily.LINEAR:
             object.__setattr__(self, "p", 0.0)
+        for name in ("tau", "chi", "mu", "a", "k", "p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("tau", "chi", "mu", "k"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

@@ -87,14 +87,18 @@ class StepperConfig:
 class _Carry(NamedTuple):
     """What a run knows about its current state between two steps: the
     one stencil pass of its signal, that gradient's per-axis maxima and the
-    extrema of its density (after the round-off clamp). :func:`_carry_of`
-    computes it from a state's arrays; :func:`_step` returns the next one."""
+    extrema of its density and of its signal, each after its round-off clamp
+    (a clamp that fired leaves a minimum of 0). :func:`_carry_of` computes
+    it from a state's arrays; :func:`_step` returns the next one, and keeps
+    the signal's part as it is when the signal did not move."""
 
     grad: np.ndarray        # face gradient of v (see _stencil)
     lap: np.ndarray         # Laplacian of v
     g_max: list[float]      # per-axis max |grad v|, see _face_max
     u_min: float
     u_max: float
+    v_lo: float
+    v_hi: float
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,8 @@ def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
     # near-overflow fields pass through here on the way to blow-up
     # detection; let the non-finite values propagate silently
     with np.errstate(over="ignore", invalid="ignore"):
-        w, _, _ = _solve_helmholtz(rhs.values, alpha, d, tol, maxiter,
-                                   None if x0 is None else x0.values.copy())
+        w, _, _ = _solve_helmholtz(rhs.values, _amax(np.abs(rhs.values)), alpha, d,
+                                   tol, maxiter, None if x0 is None else x0.values.copy())
     return Field(w, d)
 
 
@@ -171,25 +175,25 @@ def _stencil(v: np.ndarray, d: Domain) -> tuple[np.ndarray, np.ndarray]:
     return g, _divergence(g, d)
 
 
-def _solve_helmholtz(rhs: np.ndarray, alpha: float, d: Domain, tol: float,
-                     maxiter: int, x0: np.ndarray | None,
+def _solve_helmholtz(rhs: np.ndarray, scale: float, alpha: float, d: Domain,
+                     tol: float, maxiter: int, x0: np.ndarray | None,
                      ops0: tuple[np.ndarray, np.ndarray] | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unvalidated core of :func:`solve_helmholtz`.
 
-    Starts from ``x0`` (or ``rhs/alpha``, exact for constants) and checks the
-    true residual against ``tol * max|rhs|``; until it is met, each pass adds
-    the exact inverse applied to the residual, which removes all but the
-    rounding. A warm start that already meets the target comes back
-    as the same array. Raises :class:`HelmholtzError` when the residual is
-    non-finite, stops shrinking (the target lies below rounding level), or
-    still misses the target after ``maxiter`` passes.
+    ``scale`` is ``max|rhs|``, which a caller that knows ``rhs >= 0`` finds
+    without the ``abs`` pass. Starts from ``x0`` (or ``rhs/alpha``, exact for
+    constants) and checks the true residual against ``tol * scale``; until
+    it is met, each pass adds the exact inverse applied to the residual,
+    which removes all but the rounding. A warm start that already meets
+    the target comes back as the same array. Raises :class:`HelmholtzError`
+    when the residual is non-finite, stops shrinking (the target lies below
+    rounding level), or still misses the target after ``maxiter`` passes.
 
     ``ops0`` is the known ``_stencil`` of ``x0``, which spares the warm
     start's residual its stencil pass. Returns the solution with its own
     ``_stencil``, the one the last residual check used.
     """
-    scale = _amax(np.abs(rhs))
     if scale == 0.0:
         x = np.zeros(d.shape)
         return (x, *_stencil(x, d))
@@ -229,7 +233,8 @@ def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
 
 
 def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
-              params: ModelParams, d: Domain, cfg: StepperConfig) -> float:
+              params: ModelParams, d: Domain, cfg: StepperConfig,
+              enough: float) -> float:
     """Safety-scaled explicit stability limit (unclipped): the dt rule.
 
     ``u_max`` is the largest density (at least 0), ``g`` the signal's
@@ -248,6 +253,12 @@ def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
     within the step, the advection rate is raised to the fastest outflow of
     any cell (:func:`_max_outflow`). The check itself costs no array pass;
     when it trips, the velocities and the outflow cost about seven.
+
+    ``enough`` is a dt the caller cannot tell apart from any larger limit.
+    The outflow raises the rate by at most ``advection``, so when
+    ``safety / (rate + advection)`` already reaches ``enough`` the outflow
+    is not computed and the value returned is only known to be
+    ``>= enough``. Below ``enough``, the exact limit comes back.
     """
     # accepted diffusivity families are nondecreasing, so the face maximum
     # is bounded by phi at the largest cell value
@@ -262,7 +273,7 @@ def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
     drain = rate + advection   # bounds diffusion plus outflow out of any cell
     if params.reaction_on:
         rate += params.a + 2.0 * params.mu * u_max
-    if cfg.safety * drain > rate:
+    if cfg.safety * drain > rate and cfg.safety / (rate + advection) < enough:
         rate += max(0.0, _max_outflow(params.chi * g, d) - advection)
     return cfg.safety / rate
 
@@ -303,7 +314,7 @@ def stable_dt(u: Field, v: Field, params: ModelParams, d: Domain,
     """Safety-scaled explicit stability limit, clipped to [dt_min, dt_max]."""
     u_max = max(float(u.values.max()), 0.0)
     g = _grad(v.values, d)
-    return _clip_dt(_dt_limit(u_max, g, _face_max(g), params, d, cfg), cfg)
+    return _clip_dt(_dt_limit(u_max, g, _face_max(g), params, d, cfg, cfg.dt_max), cfg)
 
 
 def _resolve_threshold(cfg: StepperConfig, sup_u: float) -> float:
@@ -325,8 +336,8 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
 
     Raises ValueError for a state that is not running or whose density has
     a negative entry; this is the one validation of the density per step.
-    Everything the step reads about the state (the density's extrema, the
-    signal's gradient and Laplacian) is computed from its arrays on every
+    Everything the step reads about the state (the extrema of both fields,
+    the signal's gradient and Laplacian) is computed from its arrays on every
     call; only :func:`run_state` carries it from one step to the next.
     """
     # overflow is legitimate anywhere in a step: it surfaces as a BlowUp status
@@ -337,9 +348,9 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
 def _carry_of(state: SimState) -> _Carry:
     """The carry of a state, computed from its arrays. This is the only
     place that does so: within a run, each step returns the next one."""
-    u, d = state.u.values, state.domain
-    g, lap = _stencil(state.v.values, d)
-    return _Carry(g, lap, _face_max(g), _amin(u), _amax(u))
+    u, v, d = state.u.values, state.v.values, state.domain
+    g, lap = _stencil(v, d)
+    return _Carry(g, lap, _face_max(g), _amin(u), _amax(u), _amin(v), _amax(v))
 
 
 def _step(state: SimState, old: _Carry, params: ModelParams,
@@ -347,7 +358,8 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     """:func:`step` from the carry ``old`` of ``state``, without the
     ``np.errstate``, which the caller holds. Returns the new state with its
     carry: the density's extrema after the clamp, so a negative entry the
-    clamp left is still rejected by the next step."""
+    clamp left is still rejected by the next step. A signal the solve left
+    where it was keeps the carry's stencil, maxima and extrema."""
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
     d = state.domain
@@ -359,7 +371,9 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
         return replace(state, status=RunStatus.FINISHED), old
     u_max = old.u_max
 
-    dt = _clip_dt(_dt_limit(u_max, old.grad, old.g_max, params, d, cfg), cfg)
+    # clipping makes any limit above dt_max equal to it
+    dt_pre = _dt_limit(u_max, old.grad, old.g_max, params, d, cfg, cfg.dt_max)
+    dt = _clip_dt(dt_pre, cfg)
     if state.steps == 0:
         dt = min(dt, cfg.dt_init)
     dt = min(dt, remaining)
@@ -372,8 +386,10 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     while True:
         rhs = (params.tau / dt) * v_old + u_old
         try:
+            # nonnegative fields make rhs >= 0, whose max needs no abs
             solved, g, lap = _solve_helmholtz(
-                rhs, params.tau / dt + 1.0, d, cfg.helmholtz_tol,
+                rhs, _amax(rhs if old.v_lo >= 0.0 else np.abs(rhs)),
+                params.tau / dt + 1.0, d, cfg.helmholtz_tol,
                 cfg.helmholtz_maxiter, v_old, old[:2])
         except HelmholtzError as exc:
             if not math.isfinite(exc.residual):
@@ -382,14 +398,23 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
                 return replace(state, t=state.t + dt, steps=state.steps + 1,
                                status=RunStatus.BLOWUP), old
             raise
-        # the exact solve maps nonnegative data to a nonnegative signal;
-        # residual noise may undershoot by up to the solve tolerance
-        v_new, v_lo, v_hi = _clamp_roundoff(
-            solved, band=max(1.0e-13, 10.0 * cfg.helmholtz_tol))
-        if v_new is not solved:
-            g, lap = _stencil(v_new, d)
-        g_max = _face_max(g)
-        dt_pos = _dt_limit(u_max, g, g_max, params, d, cfg)
+        if solved is v_old and old.v_lo >= 0.0:
+            # the warm start met the target and no clamp can fire: the carry
+            # still describes the signal, and the dt rule has the inputs it
+            # had before the solve
+            v_new, v_lo, v_hi, g_max = v_old, old.v_lo, old.v_hi, old.g_max
+            dt_pos = dt_pre
+        else:
+            # the exact solve maps nonnegative data to a nonnegative signal;
+            # residual noise may undershoot by up to the solve tolerance
+            v_new, v_lo, v_hi = _clamp_roundoff(
+                solved, band=max(1.0e-13, 10.0 * cfg.helmholtz_tol))
+            if v_new is not solved:
+                g, lap = _stencil(v_new, d)
+            g_max = _face_max(g)
+            # exact below dt; at or above it, only `dt <= dt_pos` and
+            # `pinned` read it, and any value >= dt settles both
+            dt_pos = _dt_limit(u_max, g, g_max, params, d, cfg, dt)
         attempts += 1
         if dt <= dt_pos or dt <= cfg.dt_min or attempts >= 5:
             break
@@ -411,6 +436,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     u_new, u_lo, sup_u_new = _clamp_roundoff(u_raw, math.inf if pinned else 1.0e-13)
     # a clamp that fired zeroed every negative entry, so the new minimum is 0
     u_extrema = (u_lo, sup_u_new) if u_new is u_raw else (0.0, max(sup_u_new, 0.0))
+    v_extrema = (v_lo, v_hi) if v_new is solved else (0.0, max(v_hi, 0.0))
 
     t_new = state.t + dt
     status = RunStatus.RUNNING
@@ -431,7 +457,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     new = object.__new__(SimState)
     new.__dict__.update(t=t_new, u=Field._wrap(u_new, d), v=Field._wrap(v_new, d),
                         steps=state.steps + 1, status=status, stall_steps=stall)
-    return new, _Carry(g, lap, g_max, *u_extrema)
+    return new, _Carry(g, lap, g_max, *u_extrema, *v_extrema)
 
 
 def _clamp_roundoff(vals: np.ndarray, band: float = 1.0e-13

@@ -20,9 +20,13 @@ def params(**kw):
 @pytest.mark.parametrize("bad", [
     dict(tau=0.0), dict(tau=-1.0), dict(chi=0.0), dict(mu=0.0),
     dict(a=-0.5), dict(k=0.0),
+    dict(a=float("nan")), dict(a=float("inf")), dict(tau=float("inf")),
+    dict(chi=float("inf")), dict(mu=float("inf")), dict(k=float("inf")),
+    dict(p=float("inf")),
 ])
 def test_params_validation(bad):
-    with pytest.raises(ValueError):
+    [name] = bad
+    with pytest.raises(ValueError, match=f"^{name} "):
         params(**bad)
 
 

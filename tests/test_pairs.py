@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "pairs", Path(__file__).resolve().parents[1] / "tools" / "pairs.py")
 pairs = importlib.util.module_from_spec(_spec)
@@ -44,3 +46,29 @@ def test_a_pair_missing_a_result_does_not_count():
     runs[0]["result"] = None
     [wall, _] = pairs.summarize(runs, METRICS)
     assert wall["pairs"] == 2
+
+
+STDOUT = """tiny-fixed-dt: setup done
+tiny-fixed-dt: 21 rounds; operation walls (s): steady-8 min 0.0631 median 0.0702; \
+transport-6x6 min 0.1116 median 0.1200
+{"correct": true, "attempted": 84, "failed": 0, "metrics": {}}
+"""
+
+
+def test_operation_bests_are_parsed_from_the_harness_line():
+    assert pairs.op_bests(STDOUT) == {"steady-8": 0.0631, "transport-6x6": 0.1116}
+    assert pairs.op_bests('{"correct": true}\n') == {}
+
+
+def test_operation_medians_are_paired():
+    runs = []
+    for i, (p, c) in enumerate([(0.10, 0.08), (0.20, 0.15), (0.12, 0.13)]):
+        for side, best in (("parent", p), ("change", c)):
+            line = STDOUT.replace("min 0.0631", f"min {best}")
+            runs.append({"workload": "w", "seed": i, "pair": i, "side": side,
+                         "result": None, "op_best_s": pairs.op_bests(line)})
+    steady, transport = pairs.op_summary(runs)
+    assert (steady["op"], steady["pairs"], steady["wins"]) == ("steady-8", 3, 2)
+    assert (steady["parent_median"], steady["change_median"]) == (0.12, 0.13)
+    assert steady["ratio_median"] == pytest.approx(0.8)   # of 0.8, 0.75 and 13/12
+    assert (transport["ratio_median"], transport["wins"]) == (1.0, 0)

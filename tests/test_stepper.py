@@ -208,6 +208,43 @@ def test_extrema_by_index_match_numpy_property(x, view):
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
+@st.composite
+def dt_rule_cases(draw):
+    """The dt rule's inputs on 1D and 2D boxes: the largest density, the
+    stacked face gradient of a random signal, the coefficients, the safety
+    factor, and an ``enough`` on either side of the exact limit, as a ratio
+    to it."""
+    dim = draw(st.sampled_from([1, 2]))
+    d = Domain(tuple(draw(st.floats(0.05, 20.0)) for _ in range(dim)),
+               tuple(draw(st.integers(3, 12)) for _ in range(dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = stepper._grad(10.0 ** draw(st.floats(-3.0, 4.0)) * rng.random(d.shape), d)
+    params = ModelParams(
+        tau=1.0, chi=draw(st.floats(0.01, 10.0)), mu=draw(st.floats(0.01, 10.0)),
+        a=draw(st.floats(0.0, 10.0)), k=10.0 ** draw(st.floats(-4.0, 1.0)),
+        p=draw(st.floats(0.0, 3.0)), reaction_on=draw(st.booleans()))
+    # below safety 1/2 the drain check never trips
+    cfg = StepperConfig(safety=draw(st.floats(0.5, 1.0)))
+    ratio = draw(st.floats(0.25, 1.0) | st.floats(1.0, 2.0))
+    return draw(st.floats(0.0, 10.0)), g, params, d, cfg, ratio
+
+
+@settings(max_examples=300)
+@given(case=dt_rule_cases())
+def test_dt_rule_skips_the_outflow_only_above_enough_property(case):
+    # below `enough` the exact limit, bit for bit; otherwise a value that
+    # still reaches `enough`
+    u_max, g, params, d, cfg, ratio = case
+    g_max = stepper._face_max(g)
+    exact = stepper._dt_limit(u_max, g, g_max, params, d, cfg, math.inf)
+    enough = ratio * exact
+    got = stepper._dt_limit(u_max, g, g_max, params, d, cfg, enough)
+    if exact < enough:
+        assert got == exact
+    else:
+        assert got >= enough
+
+
 # ----------------------------------------------------------------------- step
 
 def steady_setup(d, p):
@@ -455,8 +492,8 @@ def test_run_state_resumes_consistently():
 def _carry_case(name):
     """(params, cfg, initial state) whose first step takes the named path:
     a plain single-pass solve, the v round-off clamp, the CFL re-solve, the
-    u round-off clamp, a step pinned at dt_min, or the dt rule's drain
-    branch."""
+    u round-off clamp, a step pinned at dt_min, the dt rule's drain branch,
+    or a solve that leaves the signal where it was."""
     if name.startswith("plain"):
         d = Domain((1.0,), (24,)) if name.endswith("1d") else Domain((1.0, 1.0), (12, 12))
         p = ModelParams(tau=0.8, chi=1.3, mu=1.0, a=1.0, k=0.5, p=1.0)
@@ -484,6 +521,13 @@ def _carry_case(name):
         u0, v0 = Field(u, d), Field.constant(d, 0.0)
         cfg = StepperConfig(dt_init=1.0, dt_min=1e-12, dt_max=1.0, safety=1.0,
                             t_end=0.3, observer_stride=3, blowup_threshold=1e6)
+    elif name == "steady-2d":
+        # the constant steady state: each solve's warm start meets its target
+        d = Domain((1.0, 1.0), (6, 6))
+        p = ModelParams(tau=1.4, chi=0.9, mu=2.0, a=1.0, k=0.5, p=1.0)
+        u0 = v0 = Field.constant(d, p.a / p.mu)
+        cfg = StepperConfig(dt_init=1e-3, dt_min=1e-10, dt_max=1e-2, t_end=0.05,
+                            observer_stride=3, blowup_threshold=1e6)
     elif name == "drain-1d":
         # v has a sharp minimum in cell 1, which drains through both faces
         d = Domain((1.0,), (4,))
@@ -510,16 +554,18 @@ def _carry_case(name):
 
 def _spy_step(monkeypatch, state, p, cfg):
     """One step, with the set of paths it took: "resolve" (more than one
-    signal solve), "v-clamp" and "u-clamp" (a round-off clamp changed the
-    field), "pinned" (the density's clamp band is infinite) and "drain"
-    (the dt rule took the fastest outflow)."""
+    signal solve), "unmoved" (a solve returned its warm start), "v-clamp"
+    and "u-clamp" (a round-off clamp changed the field), "pinned" (the
+    density's clamp band is infinite) and "drain" (the dt rule took the
+    fastest outflow)."""
     solves, clamps, drains = [], [], []
     solve, clamp, outflow = (stepper._solve_helmholtz, stepper._clamp_roundoff,
                              stepper._max_outflow)
 
     def counted_solve(*args):
-        solves.append(1)
-        return solve(*args)
+        out = solve(*args)
+        solves.append(out[0] is state.v.values)
+        return out
 
     def watched_clamp(vals, band=1.0e-13):
         out = clamp(vals, band)
@@ -536,7 +582,8 @@ def _spy_step(monkeypatch, state, p, cfg):
     new = step(state, p, cfg)
     monkeypatch.undo()
     *v_clamps, (u_band, u_clamped) = clamps   # one per solve, then the density's
-    taken = {"resolve": len(solves) > 1, "v-clamp": any(c for _, c in v_clamps),
+    taken = {"resolve": len(solves) > 1, "unmoved": any(solves),
+             "v-clamp": any(c for _, c in v_clamps),
              "u-clamp": u_clamped, "pinned": u_band == np.inf, "drain": bool(drains)}
     return new, {path for path, hit in taken.items() if hit}
 
@@ -552,6 +599,7 @@ CARRY_PATHS = {
     "plain-1d": {"drain"}, "plain-2d": {"drain"}, "clamp-2d": {"v-clamp", "drain"},
     "resolve-1d": {"resolve", "drain"}, "resolve-2d": {"resolve", "drain"},
     "uclamp-1d": {"u-clamp"}, "pinned-1d": {"pinned", "drain"}, "drain-1d": {"drain"},
+    "steady-2d": {"unmoved"},
 }
 
 
@@ -592,6 +640,47 @@ def test_carried_negative_density_is_rejected(monkeypatch):
             step(state, p, cfg)
         with pytest.raises(ValueError, match="nonnegative"):
             run_state(state, p, cfg)
+
+
+def test_unmoved_signal_keeps_its_carry(monkeypatch):
+    # a steady run: the signal's maxima come from the starting state's carry
+    # alone, and the only round-off clamp of each step is the density's
+    p, cfg, s0 = _carry_case("steady-2d")
+    maxima, bands = [], []
+    face_max, clamp = stepper._face_max, stepper._clamp_roundoff
+
+    def counted_face_max(g):
+        maxima.append(1)
+        return face_max(g)
+
+    def counted_clamp(vals, band=1.0e-13):
+        bands.append(band)
+        return clamp(vals, band)
+
+    monkeypatch.setattr(stepper, "_face_max", counted_face_max)
+    monkeypatch.setattr(stepper, "_clamp_roundoff", counted_clamp)
+    final = run_state(s0, p, cfg).final
+    assert final.status is RunStatus.FINISHED and final.steps > 3
+    assert len(maxima) == 1
+    assert bands == [1.0e-13] * final.steps
+
+
+def test_negative_signal_entries_get_the_full_solve(monkeypatch):
+    # step() checks only the density, so a built state's signal may hold
+    # negatives: a rounding-level one is clamped even when the solve keeps
+    # its warm start, and a large one is solved against max|rhs|
+    d = Domain((1.0,), (4,))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0)
+    u = Field.constant(d, 0.0)
+    noise = np.zeros(d.shape)
+    noise[1] = -1e-10
+    cfg = StepperConfig(dt_init=1e-12, dt_min=1e-13, dt_max=1e-12)
+    new, taken = _spy_step(monkeypatch, SimState(0.0, u, Field(noise, d)), p, cfg)
+    assert taken == {"unmoved", "v-clamp"}
+    assert np.all(new.v.values == 0.0)
+    new = step(SimState(0.0, u, Field.constant(d, -1.0)), p, StepperConfig())
+    c = p.tau / new.t
+    assert np.allclose(new.v.values, -c / (c + 1.0), rtol=1e-12, atol=0.0)
 
 
 def _edit_case(d):

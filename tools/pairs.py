@@ -7,14 +7,17 @@ PARENT_DIR and CHANGE_DIR are two checkouts of the repository. Pair i of a
 workload runs ``perfbench/run.py --workload W --seed K+i --seconds S`` in
 each checkout, with its own copy of the harness; even pairs run the parent
 first and odd pairs the change. Every run's final JSON line is written, with
-its workload, seed, pair, side and order, to the ``--out`` file (the layout
-of the BENCH files). Then, per workload and end-to-end metric of the
-change's ``BENCHMARK.json``, it prints the two medians, the parent's quartile
-spread, the change's wins, whether the claim rule holds (the change better in
-at least 9 of every 10 pairs and the medians further apart than the parent's
-quartile spread) and whether the change's median stays within the metric's
-bound. This script only runs the harness; it changes nothing in either
-checkout.
+its workload, seed, pair, side and order, and with each operation's fastest
+wall from the harness's ``operation walls (s):`` line as ``op_best_s``, to
+the ``--out`` file (the layout of the BENCH files). Then, per workload and
+end-to-end metric of the change's ``BENCHMARK.json``, it prints the two
+medians, the parent's quartile spread, the change's wins, whether the claim
+rule holds (the change better in at least 9 of every 10 pairs and the
+medians further apart than the parent's quartile spread) and whether the
+change's median stays within the metric's bound. Per workload and
+operation it prints the medians of the fastest walls and the median of the
+paired ratios (change over parent). This script only runs the harness; it
+changes nothing in either checkout.
 """
 
 from __future__ import annotations
@@ -22,24 +25,41 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 
 SIDES = ("parent", "change")
+OP_WALLS = "operation walls (s): "
+OP_BEST = re.compile(r"(\S+) min (\S+) median \S+")
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
-    """The final JSON line of one benchmark run, or None if it printed none."""
+def op_bests(stdout: str) -> dict[str, float]:
+    """Each operation's fastest wall (s), from the harness's line
+    ``<workload>: <n> rounds; operation walls (s): <op> min <s> median <s>; ...``;
+    empty when the run printed no such line."""
+    for line in stdout.splitlines():
+        if OP_WALLS in line:
+            walls = line.split(OP_WALLS, 1)[1]
+            return {op: float(best) for op, best in OP_BEST.findall(walls)}
+    return {}
+
+
+def run_once(checkout: str, workload: str, seed: int,
+             seconds: float) -> tuple[dict | None, dict[str, float]]:
+    """The final JSON line of one benchmark run (None if it printed none) and
+    its operations' fastest walls (see :func:`op_bests`)."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, ValueError):
         sys.stderr.write(proc.stderr)
-        return None
+        result = None
+    return result, op_bests(proc.stdout)
 
 
 def spread(values: list[float]) -> float:
@@ -81,6 +101,31 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[dict]:
     return rows
 
 
+def op_summary(runs: list[dict]) -> list[dict]:
+    """One row per workload and operation: the medians of each side's
+    fastest walls and, over the pairs where both sides timed the operation,
+    the median ratio change/parent and the change's wins (strictly faster)."""
+    rows = []
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs: dict[int, dict[str, dict]] = {}
+        for r in runs:
+            if r["workload"] == workload:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r["op_best_s"]
+        both = [p for p in pairs.values() if len(p) == 2]
+        for op in dict.fromkeys(op for p in both for op in p["parent"]):
+            timed = [(p["parent"][op], p["change"][op]) for p in both
+                     if op in p["parent"] and op in p["change"]]
+            if not timed:
+                continue
+            rows.append({
+                "workload": workload, "op": op, "pairs": len(timed),
+                "parent_median": statistics.median(p for p, _ in timed),
+                "change_median": statistics.median(c for _, c in timed),
+                "ratio_median": statistics.median(c / p for p, c in timed),
+                "wins": sum(c < p for p, c in timed)})
+    return rows
+
+
 def health(runs: list[dict]) -> list[str]:
     """Per workload: runs without a result, failed operations, incorrect runs."""
     out = []
@@ -115,9 +160,10 @@ def main(argv=None) -> int:
             seed = args.seed0 + i
             order = list(SIDES) if i % 2 == 0 else list(reversed(SIDES))
             for side in order:
-                result = run_once(dirs[side], workload, seed, args.seconds)
+                result, best = run_once(dirs[side], workload, seed, args.seconds)
                 runs.append({"workload": workload, "seed": seed, "pair": i,
-                             "order": order, "side": side, "result": result})
+                             "order": order, "side": side, "result": result,
+                             "op_best_s": best})
                 shown = "no result" if result is None else ", ".join(
                     f"{k}={v['value']:.5g}" for k, v in result["metrics"].items())
                 print(f"{workload} seed {seed} {side}: {shown}", flush=True)
@@ -135,6 +181,10 @@ def main(argv=None) -> int:
               f"loss {row['worse']:+.1%}  parent spread {row['parent_spread']:.4g}  "
               f"wins {row['wins']}/{row['pairs']}  claim {'holds' if row['claim'] else 'no'}  "
               f"bound {row['bound']:.0%} {'ok' if row['within_bound'] else 'EXCEEDED'}")
+    for row in op_summary(runs):
+        print(f"{row['workload']:14s} op {row['op']:14s} "
+              f"parent {row['parent_median']:.5g}  change {row['change_median']:.5g}  "
+              f"paired ratio {row['ratio_median']:.3f}  wins {row['wins']}/{row['pairs']}")
     return 0 if ok else 1
 
 

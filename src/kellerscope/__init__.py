@@ -4,14 +4,13 @@ logistic growth on boxes with zero-flux walls."""
 from .diagnostics import (RunOutcome, TheoryConstants, TheoryRegime, c2_constant,
                           classify_run, classify_theory, estimate_c_reg,
                           mu_threshold, theta0)
-from .grid import (Domain, Field, GridShapeError, chemotactic_divergence, integrate,
-                   laplacian_neumann, lgamma_norm)
+from .grid import (Domain, Field, GridShapeError, HelmholtzError, chemotactic_divergence,
+                   integrate, laplacian_neumann, lgamma_norm, solve_helmholtz)
 from .ic import ICName, ICSpec, build_ic
 from .model import (ModelParams, PhiFamily, diffusive_divergence, g_logistic,
                     homogeneous_steady_state, phi, rhs_u, rhs_v)
-from .stepper import (HelmholtzError, ObserverSample, RunResult, RunStatus,
-                      SimState, StepperConfig, run, run_state, solve_helmholtz,
-                      stable_dt, step)
+from .stepper import (ObserverSample, RunResult, RunStatus, SimState, StepperConfig,
+                      run, run_state, stable_dt, step)
 from .sweep import RegimeMap, RunRecord, SweepSpec, regime_map, run_sweep
 
 __version__ = "0.1.0"

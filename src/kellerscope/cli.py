@@ -17,12 +17,12 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import RunOutcome, c2_constant, classify_run, mu_threshold, theta0
-from .grid import Domain, Field, chemotactic_divergence, integrate, laplacian_neumann
+from .grid import (Domain, Field, HelmholtzError, chemotactic_divergence, integrate,
+                   laplacian_neumann, solve_helmholtz)
 from .ic import ICSpec, build_ic
 from .model import ModelParams, diffusive_divergence, homogeneous_steady_state
 from .snapshot import read_snapshot, write_snapshot
-from .stepper import HelmholtzError, SimState, StepperConfig, run, run_state, \
-    solve_helmholtz, step
+from .stepper import SimState, StepperConfig, run, run_state, step
 from .sweep import check_workers, regime_map, run_sweep
 
 EXIT_OK = 0

@@ -1,14 +1,17 @@
-"""Uniform cell-centered grids, the flux-form spatial operators, and the
-cell integrals and L^gamma norms of fields.
+"""Uniform cell-centered grids, the flux-form spatial operators and their
+face reductions, the signal's Helmholtz solve, and cell integrals and norms.
 
 All operators enforce zero flux through every boundary face (mirror ghost
 cells), work in flux form so that the discrete integral of their output
-telescopes to zero, and vanish identically on constant fields. The
-density-dependent diffusion operator lives in :mod:`kellerscope.model`.
+telescopes to zero, and vanish identically on constant fields. Every
+Laplacian, the Helmholtz solve's included, is one :func:`_stencil` pass;
+the solve inverts exactly in the Laplacian's DCT-II eigenbasis, in any
+dimension. The density's fluxes live in :mod:`kellerscope.model`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,6 +21,14 @@ import numpy as np
 
 class GridShapeError(ValueError):
     """A field does not live on the domain it was combined with."""
+
+
+class HelmholtzError(RuntimeError):
+    """Helmholtz solve failed to meet its residual target."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(f"{message} (final residual {residual:.3e})")
+        self.residual = residual
 
 
 class _Axis(NamedTuple):
@@ -201,11 +212,6 @@ def _grad(vals: np.ndarray, d: Domain) -> np.ndarray:
     return (_upper(vals, d) - vals) / d._h
 
 
-def _face_velocity(v: np.ndarray, chi: float, d: Domain) -> np.ndarray:
-    """Chemotactic face velocity chi * grad(v) (see :func:`_grad`)."""
-    return chi * _grad(v, d)
-
-
 def _upwind_flux(u: np.ndarray, u_up: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Donor-cell flux w * u: the density comes from the cell the velocity
     points away from; exactly zero where w is zero."""
@@ -236,8 +242,39 @@ def _divergence(flux: np.ndarray, d: Domain) -> np.ndarray:
     return total
 
 
-def _laplacian(vals: np.ndarray, d: Domain) -> np.ndarray:
-    return _divergence(_grad(vals, d), d)
+def _stencil(v: np.ndarray, d: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """Face gradient and Laplacian of a field, the one pass every Laplacian
+    takes. The gradient is already zero on the upper walls, so the
+    divergence leaves it as it is (for finite ``v``)."""
+    g = _grad(v, d)
+    return g, _divergence(g, d)
+
+
+def _face_max(g: np.ndarray) -> list[float]:
+    """Per-axis maxima of |g| for a stacked face array."""
+    return [_amax(a) for a in np.abs(g)]
+
+
+def _amax(x: np.ndarray) -> float:
+    """``x.max()`` as a float, found by index, which costs fewer numpy
+    calls on small arrays. A NaN entry comes back as NaN, as from ``max``:
+    ``argmax`` stops at the first NaN."""
+    return x.item(x.argmax())
+
+
+def _amin(x: np.ndarray) -> float:
+    """``x.min()`` as a float; see :func:`_amax`."""
+    return x.item(x.argmin())
+
+
+def _max_outflow(w: np.ndarray, d: Domain) -> float:
+    """Fastest rate at which the donor-cell flux drains a cell: the speeds
+    out of each of its faces over h, summed, at the worst cell."""
+    out = np.maximum(w, 0.0)
+    for _, _, f_lo, f_hi, _, _ in d._axes:
+        # a negative speed on a cell's lower face drains the cell too
+        out[f_hi] -= np.minimum(w[f_lo], 0.0)
+    return float(np.add.reduce(out / d._h, axis=0).max())
 
 
 def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -245,7 +282,7 @@ def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 
     Returns, per axis k, the orthonormal DCT-II matrix C_k, whose row m is
     the mode of -lap along k with eigenvalue ``(4/h_k^2) sin^2(pi m / 2n_k)``
-    (``_laplacian`` applies -C_k.T diag(those) C_k along each axis); and
+    (``_stencil``'s Laplacian is -C_k.T diag(those) C_k along each axis); and
     ``lam``, the eigenvalues of -lap on the whole grid, in the grid's shape:
     the sums of one per-axis eigenvalue per axis. Built on first use, then
     cached on the domain: n^2 doubles per axis of n cells, plus one per cell.
@@ -262,6 +299,89 @@ def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return d._eigen
 
 
+def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
+                    tol: float = 1.0e-10, maxiter: int = 20_000,
+                    x0: Field | None = None) -> Field:
+    """Solve (alpha*I - lap) w = rhs with the zero-flux Laplacian.
+
+    Residual-checked passes of the exact inverse (in the Laplacian's DCT-II
+    eigenbasis, by one code path for every dimension), warm-started from
+    ``x0`` when given (time steppers pass the previous signal), for at most
+    ``maxiter`` passes. The result satisfies
+    ||(alpha*I - lap) w - rhs||_inf <= tol * ||rhs||_inf.
+    """
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    _check_on(rhs, d)
+    # near-overflow fields pass through here on the way to blow-up
+    # detection; let the non-finite values propagate silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, _, _ = _solve_helmholtz(rhs.values, _amax(np.abs(rhs.values)), alpha, d,
+                                   tol, maxiter, None if x0 is None else x0.values.copy())
+    return Field(w, d)
+
+
+def _solve_helmholtz(rhs: np.ndarray, scale: float, alpha: float, d: Domain,
+                     tol: float, maxiter: int, x0: np.ndarray | None,
+                     ops0: tuple[np.ndarray, np.ndarray] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unvalidated core of :func:`solve_helmholtz`.
+
+    ``scale`` is ``max|rhs|``, which a caller that knows ``rhs >= 0`` finds
+    without the ``abs`` pass. Starts from ``x0`` (or ``rhs/alpha``, exact for
+    constants) and checks the true residual against ``tol * scale``; until
+    it is met, each pass adds the exact inverse applied to the residual,
+    which removes all but the rounding. A warm start that already meets
+    the target comes back as the same array. Raises :class:`HelmholtzError`
+    when ``scale`` or the residual is non-finite, stops shrinking (the target
+    lies below rounding level), or still misses the target after ``maxiter``
+    passes.
+
+    ``ops0`` is the known ``_stencil`` of ``x0``, which spares the warm
+    start's residual its stencil pass. Returns the solution with its own
+    ``_stencil``, the one the last residual check used.
+    """
+    if not math.isfinite(scale):
+        # an infinite target would accept any start
+        raise HelmholtzError("Helmholtz right-hand side is not finite", scale)
+    if scale == 0.0:
+        x = np.zeros(d.shape)
+        return (x, *_stencil(x, d))
+    x, ops = (rhs / alpha, None) if x0 is None else (x0, ops0)
+    last = math.inf
+    for passes in itertools.count():
+        g, lap = _stencil(x, d) if ops is None else ops
+        r = rhs - (alpha * x - lap)
+        res = _amax(np.abs(r))
+        if res <= tol * scale:
+            return x, g, lap
+        if not res < last or passes >= maxiter:  # also trips on a non-finite residual
+            raise HelmholtzError(f"Helmholtz solve missed its residual target "
+                                 f"after {passes} passes", res / scale)
+        last = res
+        x = x + _helmholtz_inverse(r, alpha, d)
+        ops = None
+
+
+def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
+    """(alpha*I - lap)^-1 r, exact up to rounding, in any dimension.
+
+    Transforms into the Laplacian's eigenbasis (see :func:`_eigenbasis`),
+    divides by the eigenvalues of alpha*I - lap and transforms back. Each
+    transform multiplies by one basis per axis: rotating the axes
+    cyclically brings each axis last in turn, and after ``dim`` rotations
+    they are back in their own order.
+    """
+    bases, lam = _eigenbasis(d)
+    cyc = (*range(1, d.dim), 0)
+    for c in bases:
+        r = r.transpose(cyc) @ c.T
+    r = r / (alpha + lam)
+    for c in bases:
+        r = r.transpose(cyc) @ c
+    return r
+
+
 def laplacian_neumann(f: Field, d: Domain) -> Field:
     """Second-difference Laplacian with mirror ghost cells (zero-flux walls).
 
@@ -270,7 +390,7 @@ def laplacian_neumann(f: Field, d: Domain) -> Field:
     discrete integral of the result telescopes to zero.
     """
     _check_on(f, d)
-    return Field._wrap(_laplacian(f.values, d), d)
+    return Field._wrap(_stencil(f.values, d)[1], d)
 
 
 def chemotactic_divergence(u: Field, v: Field, chi: float, d: Domain) -> Field:
@@ -288,8 +408,7 @@ def chemotactic_divergence(u: Field, v: Field, chi: float, d: Domain) -> Field:
     _check_on(v, d)
     if not chi > 0.0:
         raise ValueError(f"chi must be positive, got {chi}")
-    w = _face_velocity(v.values, chi, d)
-    flux = _upwind_flux(u.values, _upper(u.values, d), w)
+    flux = _upwind_flux(u.values, _upper(u.values, d), chi * _grad(v.values, d))
     return Field._wrap(_divergence(flux, d), d)
 
 

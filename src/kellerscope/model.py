@@ -1,10 +1,11 @@
-"""Coefficient families, the diffusive flux divergence and the semidiscrete
+"""Coefficient families, the density's flux divergences and the semidiscrete
 right-hand sides.
 
 The cell density u diffuses with density-dependent diffusivity phi(u),
 drifts up the gradient of the signal v with sensitivity chi, and grows
 logistically, g(u) = a*u - mu*u**2. The signal relaxes toward u:
-tau * v_t = lap(v) - v + u.
+tau * v_t = lap(v) - v + u. The time step moves u by one divergence of both
+fluxes (:func:`_transport`).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Domain, Field, _check_on, _divergence, _upper, chemotactic_divergence,
-                   laplacian_neumann)
+from .grid import (Domain, Field, _check_on, _divergence, _upper, _upwind_flux,
+                   chemotactic_divergence, laplacian_neumann)
 
 
 class PhiFamily(str, enum.Enum):
@@ -110,6 +111,14 @@ def diffusive_divergence(u: Field, params: ModelParams, d: Domain) -> Field:
         raise ValueError("diffusive_divergence requires a nonnegative density")
     flux = _diffusive_flux(u.values, _upper(u.values, d), params, d)
     return Field._wrap(_divergence(flux, d), d)
+
+
+def _transport(u: np.ndarray, w: np.ndarray, params: ModelParams,
+               d: Domain) -> np.ndarray:
+    """div(phi(u) grad u - w u) for a nonnegative ``u``: the diffusive flux
+    minus the donor-cell flux against the face velocities ``w``."""
+    u_up = _upper(u, d)
+    return _divergence(_diffusive_flux(u, u_up, params, d) - _upwind_flux(u, u_up, w), d)
 
 
 def g_logistic(s, params: ModelParams):

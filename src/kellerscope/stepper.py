@@ -1,13 +1,11 @@
-"""IMEX time integration and run orchestration.
+"""Step-size control, the IMEX step and the run loop.
 
-One step advances the signal first with backward Euler (a Helmholtz solve
-with the zero-flux Laplacian), then the density explicitly against the fresh
-signal, with the quadratic sink treated semi-implicitly so the update can
-never produce a negative density on its own. Step size comes from explicit
-stability limits; blow-up is detected, never resolved.
-
-The Helmholtz solve inverts its operator exactly in the Laplacian's DCT-II
-eigenbasis, by the same numpy code in every dimension.
+One step advances the signal first with backward Euler (the Helmholtz solve
+of :mod:`kellerscope.grid`), then the density explicitly against the fresh
+signal (``model._transport``), with the quadratic sink treated
+semi-implicitly so the update can never produce a negative density on its
+own. Step size comes from explicit stability limits; blow-up is detected,
+never resolved. The spatial operators all live in ``grid`` and ``model``.
 """
 
 from __future__ import annotations
@@ -20,17 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (Domain, Field, _divergence, _eigenbasis, _grad, _upper, _upwind_flux,
-                   integrate, lgamma_norm)
-from .model import ModelParams, _diffusive_flux, _phi
-
-
-class HelmholtzError(RuntimeError):
-    """Helmholtz solve failed to meet its residual target."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (final residual {residual:.3e})")
-        self.residual = residual
+from .grid import (Domain, Field, HelmholtzError, _amax, _amin, _face_max, _grad,
+                   _max_outflow, _solve_helmholtz, _stencil, integrate, lgamma_norm)
+from .model import ModelParams, _phi, _transport
 
 
 class RunStatus(str, enum.Enum):
@@ -143,103 +133,14 @@ class RunResult:
     snapshots: list[tuple[float, Field, Field]] = field(default_factory=list)
 
 
-def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
-                    tol: float = 1.0e-10, maxiter: int = 20_000,
-                    x0: Field | None = None) -> Field:
-    """Solve (alpha*I - lap) w = rhs with the zero-flux Laplacian.
-
-    Residual-checked passes of the exact inverse (in the Laplacian's DCT-II
-    eigenbasis, by one code path for every dimension), warm-started from
-    ``x0`` when given (time steppers pass the previous signal), for at most
-    ``maxiter`` passes. The result satisfies
-    ||(alpha*I - lap) w - rhs||_inf <= tol * ||rhs||_inf.
-    """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if rhs.domain != d:
-        raise ValueError("rhs does not live on the given domain")
-    # near-overflow fields pass through here on the way to blow-up
-    # detection; let the non-finite values propagate silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, _, _ = _solve_helmholtz(rhs.values, _amax(np.abs(rhs.values)), alpha, d,
-                                   tol, maxiter, None if x0 is None else x0.values.copy())
-    return Field(w, d)
-
-
-def _stencil(v: np.ndarray, d: Domain) -> tuple[np.ndarray, np.ndarray]:
-    """Face gradient and Laplacian of a signal: the one stencil pass a
-    signal state needs, and the only place the signal solve takes a
-    Laplacian. The gradient is already zero on the upper walls, so the
-    divergence leaves it as it is (for finite ``v``)."""
-    g = _grad(v, d)
-    return g, _divergence(g, d)
-
-
-def _solve_helmholtz(rhs: np.ndarray, scale: float, alpha: float, d: Domain,
-                     tol: float, maxiter: int, x0: np.ndarray | None,
-                     ops0: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unvalidated core of :func:`solve_helmholtz`.
-
-    ``scale`` is ``max|rhs|``, which a caller that knows ``rhs >= 0`` finds
-    without the ``abs`` pass. Starts from ``x0`` (or ``rhs/alpha``, exact for
-    constants) and checks the true residual against ``tol * scale``; until
-    it is met, each pass adds the exact inverse applied to the residual,
-    which removes all but the rounding. A warm start that already meets
-    the target comes back as the same array. Raises :class:`HelmholtzError`
-    when the residual is non-finite, stops shrinking (the target lies below
-    rounding level), or still misses the target after ``maxiter`` passes.
-
-    ``ops0`` is the known ``_stencil`` of ``x0``, which spares the warm
-    start's residual its stencil pass. Returns the solution with its own
-    ``_stencil``, the one the last residual check used.
-    """
-    if scale == 0.0:
-        x = np.zeros(d.shape)
-        return (x, *_stencil(x, d))
-    x, ops = (rhs / alpha, None) if x0 is None else (x0, ops0)
-    last = math.inf
-    for passes in itertools.count():
-        g, lap = _stencil(x, d) if ops is None else ops
-        r = rhs - (alpha * x - lap)
-        res = _amax(np.abs(r))
-        if res <= tol * scale:
-            return x, g, lap
-        if not res < last or passes >= maxiter:  # also trips on a non-finite residual
-            raise HelmholtzError(f"Helmholtz solve missed its residual target "
-                                 f"after {passes} passes", res / scale)
-        last = res
-        x = x + _helmholtz_inverse(r, alpha, d)
-        ops = None
-
-
-def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
-    """(alpha*I - lap)^-1 r, exact up to rounding, in any dimension.
-
-    Transforms into the Laplacian's eigenbasis (see ``grid._eigenbasis``),
-    divides by the eigenvalues of alpha*I - lap and transforms back. Each
-    transform multiplies by one basis per axis: rotating the axes
-    cyclically brings each axis last in turn, and after ``dim`` rotations
-    they are back in their own order.
-    """
-    bases, lam = _eigenbasis(d)
-    cyc = (*range(1, d.dim), 0)
-    for c in bases:
-        r = r.transpose(cyc) @ c.T
-    r = r / (alpha + lam)
-    for c in bases:
-        r = r.transpose(cyc) @ c
-    return r
-
-
 def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
               params: ModelParams, d: Domain, cfg: StepperConfig,
-              enough: float) -> float:
-    """Safety-scaled explicit stability limit (unclipped): the dt rule.
+              cap: float) -> float:
+    """Safety-scaled explicit stability limit, capped at ``cap``: the dt rule.
 
     ``u_max`` is the largest density (at least 0), ``g`` the signal's
     stacked face gradient (see ``grid._grad``) and ``g_max`` its per-axis
-    maxima (:func:`_face_max`); the face velocities are ``chi * g``. The
+    maxima (``grid._face_max``); the face velocities are ``chi * g``. The
     rates add: diffusion contributes 2*max(phi)/h^2 per axis, advection the
     largest face speed over h per axis, the growth law a + 2*mu*max(u).
     Summing the rates (rather than taking the smallest individual limit) is
@@ -251,14 +152,12 @@ def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
     Where the flow diverges, a cell drains through both faces of an axis,
     at up to twice the fastest face speed. When that could empty a cell
     within the step, the advection rate is raised to the fastest outflow of
-    any cell (:func:`_max_outflow`). The check itself costs no array pass;
+    any cell (``grid._max_outflow``). The check itself costs no array pass;
     when it trips, the velocities and the outflow cost about seven.
 
-    ``enough`` is a dt the caller cannot tell apart from any larger limit.
-    The outflow raises the rate by at most ``advection``, so when
-    ``safety / (rate + advection)`` already reaches ``enough`` the outflow
-    is not computed and the value returned is only known to be
-    ``>= enough``. Below ``enough``, the exact limit comes back.
+    Returns exactly ``min(limit, cap)``. The outflow raises the rate by at
+    most ``advection``, so when ``safety / (rate + advection)`` already
+    reaches ``cap``, so does the limit, and the outflow is not computed.
     """
     # accepted diffusivity families are nondecreasing, so the face maximum
     # is bounded by phi at the largest cell value
@@ -273,40 +172,9 @@ def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
     drain = rate + advection   # bounds diffusion plus outflow out of any cell
     if params.reaction_on:
         rate += params.a + 2.0 * params.mu * u_max
-    if cfg.safety * drain > rate and cfg.safety / (rate + advection) < enough:
+    if cfg.safety * drain > rate and cfg.safety / (rate + advection) < cap:
         rate += max(0.0, _max_outflow(params.chi * g, d) - advection)
-    return cfg.safety / rate
-
-
-def _face_max(g: np.ndarray) -> list[float]:
-    """Per-axis maxima of |g| for a stacked face array."""
-    return [_amax(a) for a in np.abs(g)]
-
-
-def _amax(x: np.ndarray) -> float:
-    """``x.max()`` as a float, found by index, which costs fewer numpy
-    calls on small arrays. A NaN entry comes back as NaN, as from ``max``:
-    ``argmax`` stops at the first NaN."""
-    return x.item(x.argmax())
-
-
-def _amin(x: np.ndarray) -> float:
-    """``x.min()`` as a float; see :func:`_amax`."""
-    return x.item(x.argmin())
-
-
-def _max_outflow(w: np.ndarray, d: Domain) -> float:
-    """Fastest rate at which the donor-cell flux drains a cell: the speeds
-    out of each of its faces over h, summed, at the worst cell."""
-    out = np.maximum(w, 0.0)
-    for _, _, f_lo, f_hi, _, _ in d._axes:
-        # a negative speed on a cell's lower face drains the cell too
-        out[f_hi] -= np.minimum(w[f_lo], 0.0)
-    return float(np.add.reduce(out / d._h, axis=0).max())
-
-
-def _clip_dt(dt: float, cfg: StepperConfig) -> float:
-    return min(cfg.dt_max, max(cfg.dt_min, dt))
+    return min(cfg.safety / rate, cap)
 
 
 def stable_dt(u: Field, v: Field, params: ModelParams, d: Domain,
@@ -314,7 +182,7 @@ def stable_dt(u: Field, v: Field, params: ModelParams, d: Domain,
     """Safety-scaled explicit stability limit, clipped to [dt_min, dt_max]."""
     u_max = max(float(u.values.max()), 0.0)
     g = _grad(v.values, d)
-    return _clip_dt(_dt_limit(u_max, g, _face_max(g), params, d, cfg, cfg.dt_max), cfg)
+    return max(cfg.dt_min, _dt_limit(u_max, g, _face_max(g), params, d, cfg, cfg.dt_max))
 
 
 def _resolve_threshold(cfg: StepperConfig, sup_u: float) -> float:
@@ -371,9 +239,8 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
         return replace(state, status=RunStatus.FINISHED), old
     u_max = old.u_max
 
-    # clipping makes any limit above dt_max equal to it
     dt_pre = _dt_limit(u_max, old.grad, old.g_max, params, d, cfg, cfg.dt_max)
-    dt = _clip_dt(dt_pre, cfg)
+    dt = max(cfg.dt_min, dt_pre)
     if state.steps == 0:
         dt = min(dt, cfg.dt_init)
     dt = min(dt, remaining)
@@ -412,8 +279,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
             if v_new is not solved:
                 g, lap = _stencil(v_new, d)
             g_max = _face_max(g)
-            # exact below dt; at or above it, only `dt <= dt_pos` and
-            # `pinned` read it, and any value >= dt settles both
+            # capped at dt: `dt <= dt_pos` and `pinned` need no more
             dt_pos = _dt_limit(u_max, g, g_max, params, d, cfg, dt)
         attempts += 1
         if dt <= dt_pos or dt <= cfg.dt_min or attempts >= 5:
@@ -422,10 +288,10 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     # stepping outside the provable-positivity region (dt floored at dt_min)
     pinned = dt > dt_pos * (1.0 + 1e-9)
 
+    # w lives to the end of the step: freed in _transport, it let the heap
+    # trim and regrow every step (about 60% more page faults on damped-2d)
     w = params.chi * g
-    u_up = _upper(u_old, d)
-    flux = _divergence(_diffusive_flux(u_old, u_up, params, d)
-                       - _upwind_flux(u_old, u_up, w), d)
+    flux = _transport(u_old, w, params, d)
     if params.reaction_on:
         u_raw = ((u_old + dt * (flux + params.a * u_old))
                  / (1.0 + dt * params.mu * u_old))
@@ -495,9 +361,10 @@ def run(u0: Field, v0: Field, params: ModelParams, cfg: StepperConfig,
     """Step from (u0, v0) at t=0 until the status leaves Running.
 
     The series holds one row for the initial state and one every
-    ``observer_stride`` steps plus the final state. With ``capture_fields``
-    the same sampling instants also keep full (t, u, v) copies, which the
-    regularity-constant estimator consumes.
+    ``observer_stride`` steps plus the final state; a run that used up
+    ``max_steps`` ends StalledDt in a row of its own, at dt 0. With
+    ``capture_fields`` the same sampling instants also keep full (t, u, v)
+    copies, which the regularity-constant estimator consumes.
     """
     return run_state(SimState(t=0.0, u=u0.copy(), v=v0.copy()), params, cfg,
                      capture_fields)
@@ -535,12 +402,11 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
         while state.status is RunStatus.RUNNING:
             if state.steps - start_steps >= cfg.max_steps:
                 state = replace(state, status=RunStatus.STALLED_DT)
+                observe(state, 0.0)
                 break
             prev_t = state.t
             state, carry = _step(state, carry, params, cfg)
             if (state.steps % cfg.observer_stride == 0
                     or state.status is not RunStatus.RUNNING):
                 observe(state, state.t - prev_t)
-        if series[-1].t != state.t or series[-1].status != state.status.value:
-            observe(state, 0.0)
     return RunResult(final=state, series=series, snapshots=snapshots)

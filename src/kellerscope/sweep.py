@@ -17,7 +17,7 @@ import numpy as np
 from .diagnostics import RunOutcome, TheoryRegime, classify_run, classify_theory, theta0
 from .grid import Domain
 from .ic import ICSpec, build_ic
-from .model import ModelParams
+from .model import ModelParams, PhiFamily
 from .stepper import StepperConfig, run
 
 REPLICA_PERTURBATION = 0.05
@@ -49,6 +49,11 @@ class SweepSpec:
                 raise ValueError(f"{name} must be strictly ascending, got {vals}")
             if name != "p_values" and vals[0] <= 0.0:
                 raise ValueError(f"{name} must be positive, got {vals}")
+        # a linear cell runs p = 0 under any label (None: [model] failed)
+        if (self.base_params is not None and self.p_values != (0.0,)
+                and self.base_params.phi_family is PhiFamily.LINEAR):
+            raise ValueError(f"p_values must be 0.0 under phi_family = linear, "
+                             f"got {self.p_values}")
         if self.repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {self.repeat}")
         if self.gamma0 is not None and not self.gamma0 > 1.0:

@@ -126,6 +126,8 @@ def test_constraint_error_names_key_and_line():
     # a failed [model] must not hide the sweep's own problem
     ("[model]\nmu = -1\n[sweep]\nrepeat = 0\n", [2, 4]),
     ("[sweep]\ngamma0 = 0.5\n", [2]),
+    # every linear-family cell runs p = 0, whatever p the sweep would record
+    ("[model]\nphi_family = linear\n[sweep]\nseed = 3\np_values = 0.0, 2.0\n", [5]),
 ])
 def test_sweep_constraint_error_names_line(text, lines):
     with pytest.raises(ConfigError) as err:
@@ -259,10 +261,12 @@ def run_configs(draw):
         max_steps=draw(st.integers(1, 10**9)), helmholtz_tol=draw(_POS),
         helmholtz_maxiter=draw(st.integers(1, 10**5)))
     ic = ICSpec(draw(st.sampled_from(ICName)), draw(_NONNEG), draw(_POS))
+    # a linear-family sweep takes p = 0 alone (see SweepSpec)
+    p_values = ((0.0,) if params.phi_family is PhiFamily.LINEAR
+                else draw(_ascending(st.floats(allow_nan=False, allow_infinity=False))))
     sweep = SweepSpec(
         domain=domain, chi_values=draw(_ascending(_POS)),
-        mu_values=draw(_ascending(_POS)),
-        p_values=draw(_ascending(st.floats(allow_nan=False, allow_infinity=False))),
+        mu_values=draw(_ascending(_POS)), p_values=p_values,
         base_params=params, base_cfg=stepper, ic=ic,
         repeat=draw(st.integers(1, 100)), seed=draw(st.integers(0, 2**63)),
         gamma0=draw(st.none() | _ABOVE_ONE), C_reg=draw(_POS))

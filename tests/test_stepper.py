@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from kellerscope import (Domain, Field, HelmholtzError, ModelParams, RunStatus,
-                         SimState, StepperConfig, integrate, run, run_state,
+                         SimState, StepperConfig, grid, integrate, run, run_state,
                          solve_helmholtz, stable_dt, step, stepper)
 from kellerscope.grid import laplacian_neumann
 from kellerscope.ic import ICSpec, build_ic
@@ -101,15 +101,15 @@ def test_helmholtz_iteration_budget_error():
     (Domain((1.0,), (3000,)), 2.5, 1e-10, 0),   # target below rounding level
 ])
 def test_helmholtz_out_of_reach_target_fails_fast(monkeypatch, d, alpha, tol, seed):
-    # every residual Laplacian of the solve goes through stepper._stencil
+    # every residual Laplacian of the solve goes through grid._stencil
     calls = []
-    stencil = stepper._stencil
+    stencil = grid._stencil
 
     def counted(x, dom):
         calls.append(1)
         return stencil(x, dom)
 
-    monkeypatch.setattr(stepper, "_stencil", counted)
+    monkeypatch.setattr(grid, "_stencil", counted)
     rhs = Field(np.random.default_rng(seed).random(d.shape), d)
     with pytest.raises(HelmholtzError):
         solve_helmholtz(rhs, alpha, d, tol=tol)
@@ -122,6 +122,16 @@ def test_helmholtz_returns_solving_warm_start_unchanged(d):
     rhs = Field(1.5 * g.values - laplacian_neumann(g, d).values, d)  # exact residual 0
     w = solve_helmholtz(rhs, 1.5, d, x0=g)
     assert np.array_equal(w.values, g.values)
+
+
+@pytest.mark.parametrize("d", [Domain((1.0,), (4,)), Domain((1.0, 1.0), (4, 4))])
+def test_helmholtz_rejects_an_infinite_rhs(d):
+    # an infinite target, tol * inf, would accept the warm start as it is
+    rhs = np.ones(d.shape)
+    rhs.flat[1] = np.inf
+    with pytest.raises(HelmholtzError) as err:
+        solve_helmholtz(Field(rhs, d), 1.0, d, x0=Field.constant(d, 0.0))
+    assert not math.isfinite(err.value.residual)
 
 
 def test_helmholtz_rejects_nonpositive_alpha():
@@ -212,8 +222,8 @@ def test_extrema_by_index_match_numpy_property(x, view):
 def dt_rule_cases(draw):
     """The dt rule's inputs on 1D and 2D boxes: the largest density, the
     stacked face gradient of a random signal, the coefficients, the safety
-    factor, and an ``enough`` on either side of the exact limit, as a ratio
-    to it."""
+    factor, and a cap on either side of the exact limit, as a ratio to
+    it."""
     dim = draw(st.sampled_from([1, 2]))
     d = Domain(tuple(draw(st.floats(0.05, 20.0)) for _ in range(dim)),
                tuple(draw(st.integers(3, 12)) for _ in range(dim)))
@@ -232,17 +242,14 @@ def dt_rule_cases(draw):
 @settings(max_examples=300)
 @given(case=dt_rule_cases())
 def test_dt_rule_skips_the_outflow_only_above_enough_property(case):
-    # below `enough` the exact limit, bit for bit; otherwise a value that
-    # still reaches `enough`
+    # the exact limit capped at `cap`, bit for bit, whether or not the cap
+    # let the rule skip the outflow
     u_max, g, params, d, cfg, ratio = case
     g_max = stepper._face_max(g)
     exact = stepper._dt_limit(u_max, g, g_max, params, d, cfg, math.inf)
-    enough = ratio * exact
-    got = stepper._dt_limit(u_max, g, g_max, params, d, cfg, enough)
-    if exact < enough:
-        assert got == exact
-    else:
-        assert got >= enough
+    cap = ratio * exact
+    got = stepper._dt_limit(u_max, g, g_max, params, d, cfg, cap)
+    assert got == min(exact, cap)
 
 
 # ----------------------------------------------------------------------- step
@@ -406,6 +413,24 @@ def test_run_steady_state_long_haul():
     for s in res.series:
         assert abs(s.sup_u - u_star) <= 1e-10
         assert abs(s.sup_v - u_star) <= 1e-10
+
+
+@pytest.mark.parametrize("max_steps, rows", [(10, 4), (7, 3)])
+def test_run_stopped_by_max_steps_ends_with_one_stalled_row(max_steps, rows):
+    # stride 5: the last step falls on a sampled step (10) or between (7);
+    # either way the run ends in exactly one StalledDt row, at dt 0
+    d = Domain((1.0,), (8,))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0)
+    u0, v0 = build_ic(ICSpec("gaussian_bump", 1.0, 0.15), d)
+    cfg = StepperConfig(dt_init=1e-3, dt_min=1e-3, dt_max=1e-3, t_end=1.0,
+                        observer_stride=5, max_steps=max_steps, blowup_threshold=1e6)
+    res = run(u0, v0, p, cfg)
+    assert res.final.status is RunStatus.STALLED_DT
+    assert res.final.steps == max_steps
+    assert len(res.series) == rows
+    *before, last = res.series
+    assert (last.t, last.dt, last.status) == (res.final.t, 0.0, "StalledDt")
+    assert all(s.status == "Running" for s in before)
 
 
 def test_run_rejects_negative_initial_data():
@@ -716,7 +741,7 @@ def test_signal_scaled_in_place_runs_as_a_rebuilt_state():
 def test_carried_step_takes_one_signal_stencil(monkeypatch, name):
     p, cfg, s0 = _carry_case(name)
     grads, laps = [], []
-    grad, divergence = stepper._grad, stepper._divergence
+    grad, divergence = grid._grad, grid._divergence
 
     def counted_grad(v, d):
         g = grad(v, d)
@@ -727,8 +752,8 @@ def test_carried_step_takes_one_signal_stencil(monkeypatch, name):
         laps.extend(1 for g in grads if flux is g)
         return divergence(flux, d)
 
-    monkeypatch.setattr(stepper, "_grad", counted_grad)
-    monkeypatch.setattr(stepper, "_divergence", counted_divergence)
+    monkeypatch.setattr(grid, "_grad", counted_grad)
+    monkeypatch.setattr(grid, "_divergence", counted_divergence)
     # a run: the starting state's stencil, then one per state a step makes
     final = run_state(s0, p, cfg).final
     assert final.steps > 3

@@ -84,6 +84,17 @@ def test_sweep_spec_validation():
     assert spec.effective_gamma0() == 3.0      # 1D floors at n = 2
 
 
+def test_linear_family_sweeps_p_zero_alone():
+    # ModelParams runs every linear-family cell with p = 0, so a swept p
+    # would label a p = 0 run; the canonical family takes any p
+    with pytest.raises(ValueError, match="^p_values"):
+        small_spec(p_values=(0.0, 2.0))
+    with pytest.raises(ValueError, match="^p_values"):
+        small_spec(p_values=(1.0,))
+    canonical = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0)
+    assert small_spec(p_values=(0.0, 2.0), base_params=canonical).p_values == (0.0, 2.0)
+
+
 # --------------------------------------------------------------- run_sweep
 
 def test_sweep_single_cell_steady_state_bounded():

@@ -2,10 +2,12 @@
 
     python3 tools/samebits.py PARENT_DIR CHANGE_DIR [--seed K]
 
-For one seed (default 1), builds the configs of the tiny-fixed-dt and
-damped-2d workloads with the classes of each checkout's own
+For one seed (default 1), builds the configs of the tiny-fixed-dt,
+damped-2d and sweep-2w workloads with the classes of each checkout's own
 ``perfbench/workloads.py`` and runs every one of them to its end with that
-checkout's ``kellerscope.run``, one subprocess per checkout. The configs
+checkout's ``kellerscope.run``, one subprocess per checkout. sweep-2w's 12
+cells run one by one in that process, as its replay runs them; they are the
+only runs whose dt rule computes the fastest outflow. The configs
 are written to a temporary directory; nothing in either checkout changes.
 It compares, per run, the bytes of the final ``u`` and ``v``, the final
 ``t``, ``steps`` and ``status``, and every field of every series row. It
@@ -20,14 +22,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 
 def _runs(checkout: str, seed: int) -> dict:
-    """Every run of both workloads in ``checkout``, keyed by workload and
-    grid, with floats as hex strings and fields as hex bytes."""
+    """Every run of the three workloads in ``checkout``, keyed by workload
+    and grid or sweep cell, with floats as hex strings and fields as hex
+    bytes."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import workloads
-    from kellerscope import run
+    from kellerscope import build_ic, run
+    from kellerscope.config import parse_config
 
     def row(sample) -> list:
         return [x.hex() if isinstance(x, float) else x for x in vars(sample).values()]
@@ -36,12 +41,20 @@ def _runs(checkout: str, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as work:
         tiny = workloads.TinyFixedDt(seed, work)
         tiny.prepare()
-        cases = [(tiny.name, label, cfg, ic) for label, _, cfg, ic in tiny.runs]
+        cases = [(tiny.name, label, cfg.params, cfg.stepper, ic)
+                 for label, _, cfg, ic in tiny.runs]
         damped = workloads.Damped2d(seed, work)
-        cases += [(damped.name, label, cfg, ic)
-                  for label, _, cfg, _, ic in damped.layer_sources()]
-        for name, label, cfg, (u0, v0) in cases:
-            res = run(u0, v0, cfg.params, cfg.stepper)
+        cases += [(damped.name, label, params, cfg.stepper, ic)
+                  for label, _, cfg, params, ic in damped.layer_sources()]
+        # the cells as Sweep2w.replay builds them, without running its replay
+        sweep = workloads.Sweep2w(seed, work)
+        with open(sweep.path) as fh:
+            cfg = parse_config(fh.read())
+        cases += [(sweep.name, f"chi={chi!r} mu={mu!r} p={p!r}",
+                   replace(cfg.params, chi=chi, mu=mu, p=p), cfg.stepper,
+                   build_ic(cfg.ic, cfg.domain)) for chi, mu, p in sweep.cells]
+        for name, label, params, stepper, (u0, v0) in cases:
+            res = run(u0, v0, params, stepper)
             final = res.final
             out[f"{name} {label}"] = {
                 "t": final.t.hex(), "steps": final.steps, "status": final.status.value,

@@ -53,10 +53,13 @@ def _axis(dim: int, k: int) -> _Axis:
     return _Axis(hi, last, (k,) + lo, (k,) + hi, (k,) + last, (k,) + first)
 
 
-def _upper_slices(vals: np.ndarray, axes: tuple[_Axis, ...]) -> np.ndarray:
+def _upper_slices(vals: np.ndarray, axes: tuple[_Axis, ...],
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Upper neighbour of every cell along each axis, stacked on a leading
-    axis; on the upper wall the cell itself."""
-    out = np.empty((len(axes),) + vals.shape, dtype=vals.dtype)
+    axis; on the upper wall the cell itself. Written into ``out`` when
+    given."""
+    if out is None:
+        out = np.empty((len(axes),) + vals.shape, dtype=vals.dtype)
     for hi, last, f_lo, _, f_last, _ in axes:
         out[f_lo] = vals[hi]
         out[f_last] = vals[last]
@@ -138,7 +141,7 @@ class Domain:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)
 
     @property
     def measure(self) -> float:
@@ -196,41 +199,54 @@ def _check_on(f: Field, d: Domain) -> None:
         raise GridShapeError("field does not live on the given domain")
 
 
-def _upper(vals: np.ndarray, d: Domain) -> np.ndarray:
+# Each array helper below takes an ``out`` array (a stacked face array,
+# see _Axis) and hands it to numpy, so a run's steps write into arrays they
+# own (see stepper._Work); with ``out=None`` numpy allocates, which is what
+# the public operators get. The gather path's fancy-index reads allocate
+# either way: ``np.take(..., out=)`` is slower than them on grids that small.
+
+def _upper(vals: np.ndarray, d: Domain, out: np.ndarray | None = None) -> np.ndarray:
     """Upper neighbour of every cell along each axis, stacked on a leading
     axis: ``out[k][c] = vals[c + e_k]``, and ``vals[c]`` itself on the upper
     wall, so every face difference vanishes there."""
     if d._gather is not None:
         return vals.reshape(-1)[d._gather.upper]
-    return _upper_slices(vals, d._axes)
+    return _upper_slices(vals, d._axes, out)
 
 
-def _grad(vals: np.ndarray, d: Domain) -> np.ndarray:
+def _grad(vals: np.ndarray, d: Domain, out: np.ndarray | None = None) -> np.ndarray:
     """Face gradient, stacked per axis: entry ``[k][c]`` is
     ``(vals[c + e_k] - vals[c]) / h_k`` on the face between c and c + e_k,
     zero on the upper wall."""
-    return (_upper(vals, d) - vals) / d._h
+    g = np.subtract(_upper(vals, d, out), vals, out)
+    return np.divide(g, d._h, g)
 
 
-def _upwind_flux(u: np.ndarray, u_up: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _upwind_flux(u: np.ndarray, u_up: np.ndarray, w: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Donor-cell flux w * u: the density comes from the cell the velocity
-    points away from; exactly zero where w is zero."""
-    return w * np.where(w > 0.0, u, u_up)
+    points away from; exactly zero where w is zero. Overwrites ``u_up``,
+    which callers pass as a temporary."""
+    # np.where has no out: put u over its upper neighbour where the velocity
+    # points up (putmask repeats u across the stacked faces)
+    np.putmask(u_up, w > 0.0, u)
+    return np.multiply(w, u_up, out)
 
 
-def _divergence(flux: np.ndarray, d: Domain) -> np.ndarray:
+def _divergence(flux: np.ndarray, d: Domain, out: np.ndarray | None = None) -> np.ndarray:
     """Cell divergence of stacked face fluxes, ``flux[k][c]`` on the face
     between c and c + e_k: sum over axes of (flux_k[c] - flux_k[c - e_k]) / h_k.
 
     Both walls carry zero flux; the upper-wall entries of ``flux`` are zeroed
-    in place, so callers pass a temporary.
+    in place, so callers pass a temporary. The per-axis terms go into the
+    face array ``out`` and are summed into ``out[0]``, which is returned.
     """
     if d._gather is not None:
         flat = flux.reshape(-1)
         flat[d._gather.wall] = 0.0
-        div = (flat - flat[d._gather.lower]).reshape(flux.shape)
+        div = np.subtract(flux, flat[d._gather.lower].reshape(flux.shape), out)
     else:
-        div = np.empty_like(flux)
+        div = np.empty_like(flux) if out is None else out
         for _, _, f_lo, f_hi, f_last, f_first in d._axes:
             flux[f_last] = 0.0
             div[f_first] = flux[f_first]
@@ -238,21 +254,25 @@ def _divergence(flux: np.ndarray, d: Domain) -> np.ndarray:
     div /= d._h
     total = div[0]
     for k in range(1, d.dim):   # the axes in order, as add.reduce sums them
-        total = total + div[k]
+        total += div[k]
     return total
 
 
-def _stencil(v: np.ndarray, d: Domain) -> tuple[np.ndarray, np.ndarray]:
+def _stencil(v: np.ndarray, d: Domain, grad: np.ndarray | None = None,
+             lap: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Face gradient and Laplacian of a field, the one pass every Laplacian
-    takes. The gradient is already zero on the upper walls, so the
-    divergence leaves it as it is (for finite ``v``)."""
-    g = _grad(v, d)
-    return g, _divergence(g, d)
+    takes, written into the face arrays ``grad`` and ``lap`` (the Laplacian
+    is ``lap[0]``, see :func:`_divergence`). The gradient is already zero on
+    the upper walls, so the divergence leaves it as it is (for finite
+    ``v``)."""
+    g = _grad(v, d, grad)
+    return g, _divergence(g, d, lap)
 
 
-def _face_max(g: np.ndarray) -> list[float]:
-    """Per-axis maxima of |g| for a stacked face array."""
-    return [_amax(a) for a in np.abs(g)]
+def _face_max(g: np.ndarray, out: np.ndarray | None = None) -> list[float]:
+    """Per-axis maxima of |g| for a stacked face array; |g| goes into
+    ``out``."""
+    return [_amax(a) for a in np.abs(g, out)]
 
 
 def _amax(x: np.ndarray) -> float:
@@ -299,6 +319,35 @@ def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return d._eigen
 
 
+class _SolveArrays(NamedTuple):
+    """The arrays a Helmholtz solve writes into: the solution past its warm
+    start with that solution's face gradient and face-shaped Laplacian (see
+    :func:`_stencil`), the residual, ``s`` for |residual| and the inverse's
+    eigenvalues, and the inverse's ``2 * dim`` products, each in its own
+    shape, which alternate between a spare cell array and the residual's."""
+
+    x: np.ndarray
+    grad: np.ndarray
+    lap: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    turns: tuple[np.ndarray, ...]
+
+
+def _solve_arrays(d: Domain, pool: np.ndarray) -> _SolveArrays:
+    """Fresh solution arrays whose scratch (residual, ``s`` and the spare)
+    is the first three cells' worth of the flat array ``pool``, which a run
+    shares with other scratch."""
+    face, n = (d.dim,) + d.shape, d.n_cells
+    r, s, spare = (pool[i * n:(i + 1) * n] for i in range(3))
+    # each product's axes are rotated once more than its input's
+    shapes = [d.shape[k + 1:] + d.shape[:k + 1] for k in range(d.dim)] * 2
+    return _SolveArrays(np.empty(d.shape), np.empty(face), np.empty(face),
+                        r.reshape(d.shape), s.reshape(d.shape),
+                        tuple((r if j % 2 else spare).reshape(shape)
+                              for j, shape in enumerate(shapes)))
+
+
 def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
                     tol: float = 1.0e-10, maxiter: int = 20_000,
                     x0: Field | None = None) -> Field:
@@ -308,7 +357,8 @@ def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
     eigenbasis, by one code path for every dimension), warm-started from
     ``x0`` when given (time steppers pass the previous signal), for at most
     ``maxiter`` passes. The result satisfies
-    ||(alpha*I - lap) w - rhs||_inf <= tol * ||rhs||_inf.
+    ||(alpha*I - lap) w - rhs||_inf <= tol * ||rhs||_inf. It is a fresh
+    array; the inputs are left as they are.
     """
     if not alpha > 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -317,15 +367,17 @@ def solve_helmholtz(rhs: Field, alpha: float, d: Domain,
     # detection; let the non-finite values propagate silently
     with np.errstate(over="ignore", invalid="ignore"):
         w, _, _ = _solve_helmholtz(rhs.values, _amax(np.abs(rhs.values)), alpha, d,
-                                   tol, maxiter, None if x0 is None else x0.values.copy())
+                                   tol, maxiter, None if x0 is None else x0.values.copy(),
+                                   None, _solve_arrays(d, np.empty(3 * d.n_cells)))
     return Field(w, d)
 
 
 def _solve_helmholtz(rhs: np.ndarray, scale: float, alpha: float, d: Domain,
                      tol: float, maxiter: int, x0: np.ndarray | None,
-                     ops0: tuple[np.ndarray, np.ndarray] | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unvalidated core of :func:`solve_helmholtz`.
+                     ops0: tuple[np.ndarray, np.ndarray] | None,
+                     out: _SolveArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unvalidated core of :func:`solve_helmholtz`, which writes into
+    ``out`` and nowhere else.
 
     ``scale`` is ``max|rhs|``, which a caller that knows ``rhs >= 0`` finds
     without the ``abs`` pass. Starts from ``x0`` (or ``rhs/alpha``, exact for
@@ -345,40 +397,44 @@ def _solve_helmholtz(rhs: np.ndarray, scale: float, alpha: float, d: Domain,
         # an infinite target would accept any start
         raise HelmholtzError("Helmholtz right-hand side is not finite", scale)
     if scale == 0.0:
-        x = np.zeros(d.shape)
-        return (x, *_stencil(x, d))
-    x, ops = (rhs / alpha, None) if x0 is None else (x0, ops0)
+        out.x.fill(0.0)
+        return (out.x, *_stencil(out.x, d, out.grad, out.lap))
+    x, ops = (np.divide(rhs, alpha, out.x), None) if x0 is None else (x0, ops0)
     last = math.inf
     for passes in itertools.count():
-        g, lap = _stencil(x, d) if ops is None else ops
-        r = rhs - (alpha * x - lap)
-        res = _amax(np.abs(r))
+        g, lap = _stencil(x, d, out.grad, out.lap) if ops is None else ops
+        r = np.multiply(x, alpha, out.r)
+        r -= lap
+        r = np.subtract(rhs, r, r)
+        res = _amax(np.abs(r, out.s))
         if res <= tol * scale:
             return x, g, lap
         if not res < last or passes >= maxiter:  # also trips on a non-finite residual
             raise HelmholtzError(f"Helmholtz solve missed its residual target "
                                  f"after {passes} passes", res / scale)
         last = res
-        x = x + _helmholtz_inverse(r, alpha, d)
+        x = np.add(x, _helmholtz_inverse(r, alpha, d, out.s, out.turns), out.x)
         ops = None
 
 
-def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain) -> np.ndarray:
+def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain, s: np.ndarray,
+                       turns: tuple[np.ndarray, ...]) -> np.ndarray:
     """(alpha*I - lap)^-1 r, exact up to rounding, in any dimension.
 
     Transforms into the Laplacian's eigenbasis (see :func:`_eigenbasis`),
     divides by the eigenvalues of alpha*I - lap and transforms back. Each
     transform multiplies by one basis per axis: rotating the axes
     cyclically brings each axis last in turn, and after ``dim`` rotations
-    they are back in their own order.
+    they are back in their own order. The products go into ``turns`` (see
+    :class:`_SolveArrays`), the eigenvalues of alpha*I - lap into ``s``.
     """
     bases, lam = _eigenbasis(d)
     cyc = (*range(1, d.dim), 0)
-    for c in bases:
-        r = r.transpose(cyc) @ c.T
-    r = r / (alpha + lam)
-    for c in bases:
-        r = r.transpose(cyc) @ c
+    for c, out in zip(bases, turns):
+        r = np.matmul(r.transpose(cyc), c.T, out)
+    r = np.divide(r, np.add(lam, alpha, s), r)
+    for c, out in zip(bases, turns[d.dim:]):
+        r = np.matmul(r.transpose(cyc), c, out)
     return r
 
 

@@ -79,24 +79,36 @@ def phi(s, params: ModelParams):
     s = np.asarray(s, dtype=np.float64)
     if np.min(s) < 0.0:
         raise ValueError("phi is only defined for nonnegative densities")
-    out = np.full_like(s, _phi(s, params))
+    out = np.full_like(s, _phi(s.copy(), params))
     return out if out.ndim else float(out)
 
 
 def _phi(s, params: ModelParams):
     """phi without the sign check, for callers that validated the density
-    once; ``s`` is a float or an array."""
+    once; ``s`` is a float, or an array that is overwritten with the
+    result."""
     if params.p == 0.0:  # both families reduce to the constant k
         return params.k
-    return params.k * (1.0 + s) ** params.p
+    s += 1.0
+    s **= params.p
+    s *= params.k
+    return s
 
 
 def _diffusive_flux(u: np.ndarray, u_up: np.ndarray, params: ModelParams,
-                    d: Domain) -> np.ndarray:
-    """phi(face mean) * grad(u) on the stacked faces (see grid._upper)."""
-    # a constant diffusivity (p == 0) needs no face mean
-    face_phi = params.k if params.p == 0.0 else _phi(0.5 * (u + u_up), params)
-    return face_phi * (u_up - u) / d._h
+                    d: Domain, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """phi(face mean) * grad(u) on the stacked faces (see grid._upper),
+    written into ``out``; the face diffusivity goes into ``scratch``."""
+    face_phi = params.k
+    if params.p != 0.0:   # a constant diffusivity needs no face mean
+        face_phi = np.add(u, u_up, scratch)
+        face_phi *= 0.5
+        face_phi = _phi(face_phi, params)
+    flux = np.subtract(u_up, u, out)
+    flux *= face_phi
+    flux /= d._h
+    return flux
 
 
 def diffusive_divergence(u: Field, params: ModelParams, d: Domain) -> Field:
@@ -113,12 +125,17 @@ def diffusive_divergence(u: Field, params: ModelParams, d: Domain) -> Field:
     return Field._wrap(_divergence(flux, d), d)
 
 
-def _transport(u: np.ndarray, w: np.ndarray, params: ModelParams,
-               d: Domain) -> np.ndarray:
+def _transport(u: np.ndarray, w: np.ndarray, params: ModelParams, d: Domain,
+               up: np.ndarray | None = None, flux: np.ndarray | None = None,
+               scratch: np.ndarray | None = None) -> np.ndarray:
     """div(phi(u) grad u - w u) for a nonnegative ``u``: the diffusive flux
-    minus the donor-cell flux against the face velocities ``w``."""
-    u_up = _upper(u, d)
-    return _divergence(_diffusive_flux(u, u_up, params, d) - _upwind_flux(u, u_up, w), d)
+    minus the donor-cell flux against the face velocities ``w``. Writes
+    into the face arrays ``up`` (the upper neighbours), ``flux`` and
+    ``scratch``, whose first entry comes back as the divergence."""
+    u_up = _upper(u, d, up)
+    flux = _diffusive_flux(u, u_up, params, d, flux, scratch)
+    flux -= _upwind_flux(u, u_up, w, scratch)
+    return _divergence(flux, d, scratch)
 
 
 def g_logistic(s, params: ModelParams):

@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (Domain, Field, HelmholtzError, _amax, _amin, _face_max, _grad,
-                   _max_outflow, _solve_helmholtz, _stencil, integrate, lgamma_norm)
+                   _max_outflow, _solve_arrays, _solve_helmholtz, _SolveArrays,
+                   _stencil, integrate, lgamma_norm)
 from .model import ModelParams, _phi, _transport
 
 
@@ -89,6 +90,34 @@ class _Carry(NamedTuple):
     u_max: float
     v_lo: float
     v_hi: float
+
+
+class _Work(NamedTuple):
+    """The arrays a run's steps write into, built once per run from the
+    domain (:func:`_work`), so that a step allocates no full-size array of
+    its own. The signal's arrays (solution, face gradient and Laplacian)
+    and the density alternate between two slots, so a step never writes
+    over the state it reads, nor over the state the run started from. The
+    transport's three face arrays are scratch, and the first three cells'
+    worth of them is the signal solve's scratch, which is done with before
+    any flux is computed."""
+
+    signal: tuple[_SolveArrays, _SolveArrays]
+    u: tuple[np.ndarray, np.ndarray]
+    rhs: np.ndarray          # the signal solve's right-hand side
+    w: np.ndarray            # the face velocity chi * grad v
+    up: np.ndarray           # face arrays of model._transport
+    flux: np.ndarray
+    scratch: np.ndarray
+
+
+def _work(d: Domain) -> _Work:
+    """Fresh work arrays for a run on ``d``: 21 cell arrays' worth in 2D."""
+    face = (d.dim,) + d.shape
+    pool = np.empty((3,) + face)
+    signal = tuple(_solve_arrays(d, pool.reshape(-1)) for _ in range(2))
+    return _Work(signal, (np.empty(d.shape), np.empty(d.shape)), np.empty(d.shape),
+                 np.empty(face), *pool)
 
 
 @dataclass(frozen=True)
@@ -206,11 +235,13 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
     a negative entry; this is the one validation of the density per step.
     Everything the step reads about the state (the extrema of both fields,
     the signal's gradient and Laplacian) is computed from its arrays on every
-    call; only :func:`run_state` carries it from one step to the next.
+    call; only :func:`run_state` carries it from one step to the next. The
+    new state's arrays are fresh, but for a signal the step left where it
+    was, which is the given state's own.
     """
     # overflow is legitimate anywhere in a step: it surfaces as a BlowUp status
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(state, _carry_of(state), params, cfg)[0]
+        return _step(state, _carry_of(state), params, cfg, _work(state.domain))[0]
 
 
 def _carry_of(state: SimState) -> _Carry:
@@ -222,12 +253,18 @@ def _carry_of(state: SimState) -> _Carry:
 
 
 def _step(state: SimState, old: _Carry, params: ModelParams,
-          cfg: StepperConfig) -> tuple[SimState, _Carry]:
+          cfg: StepperConfig, work: _Work) -> tuple[SimState, _Carry]:
     """:func:`step` from the carry ``old`` of ``state``, without the
     ``np.errstate``, which the caller holds. Returns the new state with its
     carry: the density's extrema after the clamp, so a negative entry the
     clamp left is still rejected by the next step. A signal the solve left
-    where it was keeps the carry's stencil, maxima and extrema."""
+    where it was keeps the carry's stencil, maxima and extrema.
+
+    Every full-size array the step makes is written into ``work``: the new
+    signal into the slot that does not hold the carried stencil, the new
+    density into the one that does not hold ``state.u``. Only a round-off
+    clamp that fires, the dt rule's fastest outflow and, on grids small
+    enough for them, the stencil's index reads allocate."""
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
     d = state.domain
@@ -244,6 +281,8 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     if state.steps == 0:
         dt = min(dt, cfg.dt_init)
     dt = min(dt, remaining)
+    # a signal the solve leaves where it was keeps its stencil in its slot
+    slot = work.signal[old.grad is work.signal[0].grad]
 
     # The advective CFL must hold against the signal the fluxes will see,
     # which only exists after the implicit solve; re-solve with a smaller
@@ -251,13 +290,14 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     # margin. Shrinking dt pulls v_new toward v_old, so this settles fast.
     attempts = 0
     while True:
-        rhs = (params.tau / dt) * v_old + u_old
+        rhs = np.multiply(v_old, params.tau / dt, work.rhs)
+        rhs += u_old
         try:
             # nonnegative fields make rhs >= 0, whose max needs no abs
             solved, g, lap = _solve_helmholtz(
-                rhs, _amax(rhs if old.v_lo >= 0.0 else np.abs(rhs)),
+                rhs, _amax(rhs if old.v_lo >= 0.0 else np.abs(rhs, slot.s)),
                 params.tau / dt + 1.0, d, cfg.helmholtz_tol,
-                cfg.helmholtz_maxiter, v_old, old[:2])
+                cfg.helmholtz_maxiter, v_old, old[:2], slot)
         except HelmholtzError as exc:
             if not math.isfinite(exc.residual):
                 # arithmetic overflow from astronomically large fields:
@@ -277,8 +317,8 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
             v_new, v_lo, v_hi = _clamp_roundoff(
                 solved, band=max(1.0e-13, 10.0 * cfg.helmholtz_tol))
             if v_new is not solved:
-                g, lap = _stencil(v_new, d)
-            g_max = _face_max(g)
+                g, lap = _stencil(v_new, d, slot.grad, slot.lap)
+            g_max = _face_max(g, work.scratch)
             # capped at dt: `dt <= dt_pos` and `pinned` need no more
             dt_pos = _dt_limit(u_max, g, g_max, params, d, cfg, dt)
         attempts += 1
@@ -288,15 +328,22 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     # stepping outside the provable-positivity region (dt floored at dt_min)
     pinned = dt > dt_pos * (1.0 + 1e-9)
 
-    # w lives to the end of the step: freed in _transport, it let the heap
-    # trim and regrow every step (about 60% more page faults on damped-2d)
-    w = params.chi * g
-    flux = _transport(u_old, w, params, d)
+    w = np.multiply(g, params.chi, work.w)
+    flux = _transport(u_old, w, params, d, work.up, work.flux, work.scratch)
+    # the same operations as (u_old + dt * (flux + a * u_old)) / (1 + dt * mu
+    # * u_old), in place; the solve is done with its right-hand side
+    u_raw = work.u[u_old is work.u[0]]
     if params.reaction_on:
-        u_raw = ((u_old + dt * (flux + params.a * u_old))
-                 / (1.0 + dt * params.mu * u_old))
+        np.multiply(u_old, params.a, u_raw)
+        u_raw += flux
+        u_raw *= dt
+        u_raw += u_old
+        den = np.multiply(u_old, dt * params.mu, work.rhs)
+        den += 1.0
+        u_raw /= den
     else:
-        u_raw = u_old + dt * flux
+        np.multiply(flux, dt, u_raw)
+        u_raw += u_old
     # pinned means out of the stability region: detection mode, where every
     # negative value is clamped to keep the state usable
     u_new, u_lo, sup_u_new = _clamp_roundoff(u_raw, math.inf if pinned else 1.0e-13)
@@ -396,6 +443,7 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
         if capture_fields:
             snapshots.append((state.t, state.u.copy(), state.v.copy()))
 
+    work = _work(state.domain)
     with np.errstate(over="ignore", invalid="ignore"):
         carry = _carry_of(state)
         observe(state, 0.0)
@@ -405,7 +453,7 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
                 observe(state, 0.0)
                 break
             prev_t = state.t
-            state, carry = _step(state, carry, params, cfg)
+            state, carry = _step(state, carry, params, cfg, work)
             if (state.steps % cfg.observer_stride == 0
                     or state.status is not RunStatus.RUNNING):
                 observe(state, state.t - prev_t)

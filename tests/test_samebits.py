@@ -20,8 +20,9 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
         trees.append(samebits.collect(str(tmp_path / side), seed=3))
     a, b = trees
     assert samebits.compare(a, b) is None
-    # tiny-fixed-dt's 4 runs, damped-2d's 2 and sweep-2w's 12 cells
-    assert len(a) == 18 and all(r["series"] for r in a.values())
+    # tiny-fixed-dt's 4 runs, damped-2d's 2, sweep-2w's 12 cells and the
+    # 3 slice-path runs
+    assert len(a) == 21 and all(r["series"] for r in a.values())
 
     name = list(a)[-1]
     for key, edit, message in (

@@ -1,6 +1,7 @@
 """Helmholtz solves, step-size control, IMEX stepping, run orchestration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,9 +106,9 @@ def test_helmholtz_out_of_reach_target_fails_fast(monkeypatch, d, alpha, tol, se
     calls = []
     stencil = grid._stencil
 
-    def counted(x, dom):
+    def counted(x, dom, *out):
         calls.append(1)
-        return stencil(x, dom)
+        return stencil(x, dom, *out)
 
     monkeypatch.setattr(grid, "_stencil", counted)
     rhs = Field(np.random.default_rng(seed).random(d.shape), d)
@@ -518,12 +519,20 @@ def _carry_case(name):
     """(params, cfg, initial state) whose first step takes the named path:
     a plain single-pass solve, the v round-off clamp, the CFL re-solve, the
     u round-off clamp, a step pinned at dt_min, the dt rule's drain branch,
-    or a solve that leaves the signal where it was."""
+    or a solve that leaves the signal where it was. A suffix ``@n`` puts a
+    plain or re-solve case on n cells per axis instead of 24 (1D) or 12
+    (2D); above 1024 cells the stencil takes the slice path instead of the
+    gather path (see grid._GATHER_MAX_CELLS)."""
+    name, _, size = name.partition("@")
+    dim = 1 if name.endswith("1d") else 2
+    n = int(size) if size else {1: 24, 2: 12}[dim]
     if name.startswith("plain"):
-        d = Domain((1.0,), (24,)) if name.endswith("1d") else Domain((1.0, 1.0), (12, 12))
+        d = Domain((1.0,) * dim, (n,) * dim)
         p = ModelParams(tau=0.8, chi=1.3, mu=1.0, a=1.0, k=0.5, p=1.0)
         u0, v0 = build_ic(ICSpec("gaussian_bump", 2.0, 0.1), d)
-        cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=1e-2, t_end=0.01,
+        # diffusion sets dt, so t_end shrinks with h^2 to keep the steps few
+        cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=1e-2,
+                            t_end=0.01 * ({1: 24, 2: 12}[dim] / n) ** 2,
                             observer_stride=3, blowup_threshold=1e6)
     elif name == "clamp-2d":
         # a lone spike in an empty signal: the solve leaves rounding-level
@@ -565,7 +574,7 @@ def _carry_case(name):
         # a flat signal under a tall bump steepens past the advective CFL
         # within one step, so the step re-solves with a smaller dt; with
         # dt_min at dt_max it cannot, and the step is pinned instead
-        d = Domain((1.0,), (24,)) if name.endswith("1d") else Domain((1.0, 1.0), (12, 12))
+        d = Domain((1.0,) * dim, (n,) * dim)
         p = ModelParams(tau=1.0, chi=8.0, mu=1.0, a=0.0, k=0.01, p=0.0,
                         reaction_on=False)
         u0, _ = build_ic(ICSpec("gaussian_bump", 30.0, 0.1), d)
@@ -625,6 +634,9 @@ CARRY_PATHS = {
     "resolve-1d": {"resolve", "drain"}, "resolve-2d": {"resolve", "drain"},
     "uclamp-1d": {"u-clamp"}, "pinned-1d": {"pinned", "drain"}, "drain-1d": {"drain"},
     "steady-2d": {"unmoved"},
+    # the slice path, on grids above grid._GATHER_MAX_CELLS
+    "plain-2d@40": {"drain"}, "resolve-2d@40": {"resolve", "drain"},
+    "plain-1d@1100": set(),
 }
 
 
@@ -674,9 +686,9 @@ def test_unmoved_signal_keeps_its_carry(monkeypatch):
     maxima, bands = [], []
     face_max, clamp = stepper._face_max, stepper._clamp_roundoff
 
-    def counted_face_max(g):
+    def counted_face_max(g, *out):
         maxima.append(1)
-        return face_max(g)
+        return face_max(g, *out)
 
     def counted_clamp(vals, band=1.0e-13):
         bands.append(band)
@@ -743,14 +755,17 @@ def test_carried_step_takes_one_signal_stencil(monkeypatch, name):
     grads, laps = [], []
     grad, divergence = grid._grad, grid._divergence
 
-    def counted_grad(v, d):
-        g = grad(v, d)
+    def counted_grad(v, d, *out):
+        g = grad(v, d, *out)
         grads.append(g)
         return g
 
-    def counted_divergence(flux, d):
-        laps.extend(1 for g in grads if flux is g)
-        return divergence(flux, d)
+    def counted_divergence(flux, d, *out):
+        # a run's gradients alternate between two arrays of its own, so
+        # each divergence of a gradient counts once
+        if any(flux is g for g in grads):
+            laps.append(1)
+        return divergence(flux, d, *out)
 
     monkeypatch.setattr(grid, "_grad", counted_grad)
     monkeypatch.setattr(grid, "_divergence", counted_divergence)
@@ -764,6 +779,80 @@ def test_carried_step_takes_one_signal_stencil(monkeypatch, name):
         laps.clear()
         step(state, p, cfg)
         assert (len(grads), len(laps)) == (2, 2)
+
+
+# ------------------------------------------------------- a run's own arrays
+
+@pytest.mark.parametrize("name", ["plain-2d", "plain-2d@40", "plain-1d@1100"])
+def test_runs_on_one_domain_keep_their_own_arrays(name):
+    # a run writes its steps into arrays of its own, so a second run on the
+    # same domain, from other data, leaves the first's results as they were
+    p, cfg, s0 = _carry_case(name)
+    first = run(s0.u, s0.v, p, cfg, capture_fields=True)
+    final = [first.final.u.values.copy(), first.final.v.values.copy()]
+    captured = [(t, u.values.copy(), v.values.copy()) for t, u, v in first.snapshots]
+    d = s0.domain
+    second = run(Field(0.5 * s0.u.values, d), Field(s0.v.values + 0.25, d), p, cfg,
+                 capture_fields=True)
+    assert first.final.steps > 3 and second.final.steps > 3
+    assert not np.array_equal(second.final.u.values, final[0])
+    assert np.array_equal(first.final.u.values, final[0])
+    assert np.array_equal(first.final.v.values, final[1])
+    assert len(first.snapshots) == len(captured) > 2
+    for (t, u, v), (t0, u0, v0) in zip(first.snapshots, captured):
+        assert t == t0
+        assert np.array_equal(u.values, u0) and np.array_equal(v.values, v0)
+
+
+@pytest.mark.parametrize("name", [n for n in CARRY_PATHS if n != "steady-2d"])
+def test_step_leaves_its_inputs_and_shares_no_memory_with_them(name):
+    # steady-2d's signal does not move, and step() hands it back as it is
+    p, cfg, s0 = _carry_case(name)
+    given = [s0.u.values.copy(), s0.v.values.copy()]
+    s1 = step(s0, p, cfg)
+    assert np.array_equal(s0.u.values, given[0]) and np.array_equal(s0.v.values, given[1])
+    for new in (s1.u.values, s1.v.values):
+        for old in (s0.u.values, s0.v.values):
+            assert not np.shares_memory(new, old)
+
+
+@pytest.mark.parametrize("name", ["plain-2d", "resolve-2d@40", "plain-1d@1100"])
+def test_run_state_leaves_the_given_state_unchanged(name):
+    p, cfg, s0 = _carry_case(name)
+    given = [s0.u.values.copy(), s0.v.values.copy()]
+    assert run_state(s0, p, cfg).final.steps > 3
+    assert np.array_equal(s0.u.values, given[0]) and np.array_equal(s0.v.values, given[1])
+
+
+@pytest.mark.parametrize("power", [0.0, 1.0])
+def test_run_steps_allocate_no_full_size_array(monkeypatch, power):
+    # criterion 7's physics at 128^2: after the first steps (the first builds
+    # the signal's eigenbasis), a step writes every full-size array into
+    # the run's own and allocates at its peak less than two cell arrays
+    # (numpy's iterator buffers for broadcast operands)
+    d = Domain((1.0, 1.0), (128, 128))
+    p = ModelParams(tau=1.0, chi=1.0, mu=10.0, a=4.0, k=1.0, p=power)
+    u0, v0 = build_ic(ICSpec("gaussian_bump", 0.35, 0.15), d)
+    cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=1e-2, max_steps=6,
+                        blowup_threshold=1e6)
+    peaks = []
+    inner = stepper._step
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = inner(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(stepper, "_step", traced)
+    tracemalloc.start()
+    try:
+        final = run(u0, v0, p, cfg).final
+    finally:
+        tracemalloc.stop()
+    assert final.steps == len(peaks) == 6
+    assert max(peaks[2:]) < 2 * d.n_cells * 8
 
 
 def test_self_convergence_order_window():

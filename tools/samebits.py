@@ -7,7 +7,11 @@ damped-2d and sweep-2w workloads with the classes of each checkout's own
 ``perfbench/workloads.py`` and runs every one of them to its end with that
 checkout's ``kellerscope.run``, one subprocess per checkout. sweep-2w's 12
 cells run one by one in that process, as its replay runs them; they are the
-only runs whose dt rule computes the fastest outflow. The configs
+only runs whose dt rule computes the fastest outflow. Three more runs take
+damped-2d's model and initial data where the grid operators take their
+slice path (above 1024 cells) on code the workloads leave out there: the
+face mean of ``phi`` (``p = 1``) and reaction off, each on 40 x 40, and 1D
+on 1100 cells. The configs
 are written to a temporary directory; nothing in either checkout changes.
 It compares, per run, the bytes of the final ``u`` and ``v``, the final
 ``t``, ``steps`` and ``status``, and every field of every series row. It
@@ -31,7 +35,7 @@ def _runs(checkout: str, seed: int) -> dict:
     bytes."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import workloads
-    from kellerscope import build_ic, run
+    from kellerscope import Domain, build_ic, run
     from kellerscope.config import parse_config
 
     def row(sample) -> list:
@@ -44,8 +48,17 @@ def _runs(checkout: str, seed: int) -> dict:
         cases = [(tiny.name, label, cfg.params, cfg.stepper, ic)
                  for label, _, cfg, ic in tiny.runs]
         damped = workloads.Damped2d(seed, work)
+        sources = list(damped.layer_sources())
         cases += [(damped.name, label, params, cfg.stepper, ic)
-                  for label, _, cfg, params, ic in damped.layer_sources()]
+                  for label, _, cfg, params, ic in sources]
+        _, _, cfg, params, _ = sources[0]
+        for label, changed, cells, t_end in (
+                ("p=1 40x40", {"phi_family": "canonical", "p": 1.0}, (40, 40), 0.01),
+                ("reaction-off 40x40", {"reaction_on": False}, (40, 40), 0.01),
+                ("1d 1100", {}, (1100,), 1e-4)):
+            d = Domain((1.0,) * len(cells), cells)
+            cases.append(("slice", label, replace(params, **changed),
+                          replace(cfg.stepper, t_end=t_end), build_ic(cfg.ic, d)))
         # the cells as Sweep2w.replay builds them, without running its replay
         sweep = workloads.Sweep2w(seed, work)
         with open(sweep.path) as fh:

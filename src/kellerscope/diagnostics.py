@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +26,6 @@ from .stepper import ObserverSample, RunStatus, SimState, StepperConfig
 
 
 class TheoryRegime(str, enum.Enum):
-    SUBCRITICAL_BOUNDED = "SubcriticalBounded"
-    SUPERCRITICAL_UNBOUNDED_POSSIBLE = "SupercriticalUnboundedPossible"
-    SUB_LOGISTIC_BOUNDED = "SubLogisticBounded"
     CRITICAL_BOUNDED_BY_LOGISTIC = "CriticalBoundedByLogistic"
     CRITICAL_UNDETERMINED = "CriticalUndetermined"
 
@@ -38,31 +34,6 @@ class RunOutcome(str, enum.Enum):
     BOUNDED = "Bounded"
     BLOWUP = "BlowUp"
     UNDECIDED = "Undecided"
-
-
-@dataclass(frozen=True)
-class TheoryConstants:
-    """The explicit constants entering the boundedness threshold."""
-
-    gamma0: float
-    c2: float
-    C_reg: float
-    theta0: float
-
-    def __post_init__(self):
-        if not self.gamma0 > 1.0:
-            raise ValueError(f"gamma0 must exceed 1, got {self.gamma0}")
-        if not (0.0 < self.c2 <= 0.26):
-            raise ValueError(f"c2 must lie in (0, 0.26], got {self.c2}")
-        if not self.C_reg > 0.0:
-            raise ValueError(f"C_reg must be positive, got {self.C_reg}")
-        if not self.theta0 > 0.0:
-            raise ValueError(f"theta0 must be positive, got {self.theta0}")
-
-    @classmethod
-    def compute(cls, gamma0: float, chi: float, C_reg: float) -> "TheoryConstants":
-        th, _ = theta0(gamma0, chi, C_reg)
-        return cls(gamma0=gamma0, c2=c2_constant(), C_reg=C_reg, theta0=th)
 
 
 def c2_constant() -> float:
@@ -197,31 +168,13 @@ def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
     return lhs / den
 
 
-def classify_theory(p: float, q: float, n: int, chi: float, mu: float,
-                    theta0_est: float) -> TheoryRegime:
-    """Map exponents and coefficients to the analytically known regimes.
-
-    Rule order: sensitivity growth below linear always damps blow-up;
-    above linear the sign of (q - p) - 2/n decides; exactly linear is the
-    balanced case where chi/mu against the threshold decides, and the
-    threshold test failing leaves the case open. The measure-zero borderline
-    q - p == 2/n (with q > 1) is reported as undetermined as well.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+def classify_theory(chi: float, mu: float, theta0_est: float) -> TheoryRegime:
+    """The regime the theory assigns to a cell of linear sensitivity: the
+    logistic damping bounds the solution when chi/mu lies below the
+    threshold, and a ratio at or above it leaves the case open."""
     for name, val in (("chi", chi), ("mu", mu), ("theta0_est", theta0_est)):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive, got {val}")
-    if q < 1.0:
-        return TheoryRegime.SUB_LOGISTIC_BOUNDED
-    if q > 1.0:
-        gap = q - p
-        critical = 2.0 / n
-        if gap < critical:
-            return TheoryRegime.SUBCRITICAL_BOUNDED
-        if gap > critical:
-            return TheoryRegime.SUPERCRITICAL_UNBOUNDED_POSSIBLE
-        return TheoryRegime.CRITICAL_UNDETERMINED
     if chi / mu < theta0_est:
         return TheoryRegime.CRITICAL_BOUNDED_BY_LOGISTIC
     return TheoryRegime.CRITICAL_UNDETERMINED

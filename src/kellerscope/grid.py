@@ -287,14 +287,20 @@ def _amin(x: np.ndarray) -> float:
     return x.item(x.argmin())
 
 
-def _max_outflow(w: np.ndarray, d: Domain) -> float:
+def _max_outflow(w: np.ndarray, d: Domain, out: np.ndarray) -> float:
     """Fastest rate at which the donor-cell flux drains a cell: the speeds
-    out of each of its faces over h, summed, at the worst cell."""
-    out = np.maximum(w, 0.0)
+    out of each of its faces over h, summed, at the worst cell. Writes into
+    the face array ``out`` and over the face velocities ``w``."""
+    out = np.maximum(w, 0.0, out=out)
+    w = np.minimum(w, 0.0, out=w)
     for _, _, f_lo, f_hi, _, _ in d._axes:
         # a negative speed on a cell's lower face drains the cell too
-        out[f_hi] -= np.minimum(w[f_lo], 0.0)
-    return float(np.add.reduce(out / d._h, axis=0).max())
+        out[f_hi] -= w[f_lo]
+    out /= d._h
+    total = out[0]
+    for k in range(1, d.dim):   # the axes in order, as add.reduce sums them
+        total += out[k]
+    return _amax(total)
 
 
 def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

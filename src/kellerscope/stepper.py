@@ -36,8 +36,8 @@ class StepperConfig:
     """Time-integration controls.
 
     blowup_threshold: sup-norm level that flags blow-up. None means
-    "resolve from the initial data": run() replaces it with
-    1e6 * max(1, sup u0).
+    "resolve from the initial data": run() and step() replace it with
+    1e6 * max(1, sup u) of the state they are given.
 
     stall_patience: consecutive steps pinned below dt_min with a growing
     sup-norm before the run is declared stalled.
@@ -100,7 +100,8 @@ class _Work(NamedTuple):
     over the state it reads, nor over the state the run started from. The
     transport's three face arrays are scratch, and the first three cells'
     worth of them is the signal solve's scratch, which is done with before
-    any flux is computed."""
+    any flux is computed. The dt rule's fastest outflow writes into ``w``
+    and ``up``, which no call of the rule finds in use."""
 
     signal: tuple[_SolveArrays, _SolveArrays]
     u: tuple[np.ndarray, np.ndarray]
@@ -164,7 +165,7 @@ class RunResult:
 
 def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
               params: ModelParams, d: Domain, cfg: StepperConfig,
-              cap: float) -> float:
+              cap: float, w: np.ndarray, out: np.ndarray) -> float:
     """Safety-scaled explicit stability limit, capped at ``cap``: the dt rule.
 
     ``u_max`` is the largest density (at least 0), ``g`` the signal's
@@ -182,7 +183,8 @@ def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
     at up to twice the fastest face speed. When that could empty a cell
     within the step, the advection rate is raised to the fastest outflow of
     any cell (``grid._max_outflow``). The check itself costs no array pass;
-    when it trips, the velocities and the outflow cost about seven.
+    when it trips, the velocities and the outflow cost about seven, written
+    into the face arrays ``w`` and ``out``.
 
     Returns exactly ``min(limit, cap)``. The outflow raises the rate by at
     most ``advection``, so when ``safety / (rate + advection)`` already
@@ -202,7 +204,8 @@ def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
     if params.reaction_on:
         rate += params.a + 2.0 * params.mu * u_max
     if cfg.safety * drain > rate and cfg.safety / (rate + advection) < cap:
-        rate += max(0.0, _max_outflow(params.chi * g, d) - advection)
+        rate += max(0.0, _max_outflow(np.multiply(g, params.chi, w), d, out)
+                    - advection)
     return min(cfg.safety / rate, cap)
 
 
@@ -211,13 +214,16 @@ def stable_dt(u: Field, v: Field, params: ModelParams, d: Domain,
     """Safety-scaled explicit stability limit, clipped to [dt_min, dt_max]."""
     u_max = max(float(u.values.max()), 0.0)
     g = _grad(v.values, d)
-    return max(cfg.dt_min, _dt_limit(u_max, g, _face_max(g), params, d, cfg, cfg.dt_max))
+    return max(cfg.dt_min, _dt_limit(u_max, g, _face_max(g), params, d, cfg,
+                                     cfg.dt_max, np.empty_like(g), np.empty_like(g)))
 
 
-def _resolve_threshold(cfg: StepperConfig, sup_u: float) -> float:
+def _resolved(cfg: StepperConfig, sup_u: float) -> StepperConfig:
+    """``cfg`` with an automatic blow-up threshold resolved against the
+    largest density ``sup_u`` of the state a run or a step starts from."""
     if cfg.blowup_threshold is not None:
-        return cfg.blowup_threshold
-    return 1.0e6 * max(1.0, sup_u)
+        return cfg
+    return replace(cfg, blowup_threshold=1.0e6 * max(1.0, sup_u))
 
 
 def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
@@ -241,7 +247,9 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
     """
     # overflow is legitimate anywhere in a step: it surfaces as a BlowUp status
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(state, _carry_of(state), params, cfg, _work(state.domain))[0]
+        carry = _carry_of(state)
+        return _step(state, carry, params, _resolved(cfg, carry.u_max),
+                     _work(state.domain))[0]
 
 
 def _carry_of(state: SimState) -> _Carry:
@@ -255,16 +263,17 @@ def _carry_of(state: SimState) -> _Carry:
 def _step(state: SimState, old: _Carry, params: ModelParams,
           cfg: StepperConfig, work: _Work) -> tuple[SimState, _Carry]:
     """:func:`step` from the carry ``old`` of ``state``, without the
-    ``np.errstate``, which the caller holds. Returns the new state with its
-    carry: the density's extrema after the clamp, so a negative entry the
-    clamp left is still rejected by the next step. A signal the solve left
+    ``np.errstate``, which the caller holds, and with ``cfg``'s blow-up
+    threshold resolved (see :func:`_resolved`). Returns the new state with
+    its carry: the density's extrema after the clamp, so a negative entry
+    the clamp left is still rejected by the next step. A signal the solve left
     where it was keeps the carry's stencil, maxima and extrema.
 
     Every full-size array the step makes is written into ``work``: the new
     signal into the slot that does not hold the carried stencil, the new
     density into the one that does not hold ``state.u``. Only a round-off
-    clamp that fires, the dt rule's fastest outflow and, on grids small
-    enough for them, the stencil's index reads allocate."""
+    clamp that fires and, on grids small enough for them, the stencil's
+    index reads allocate."""
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
     d = state.domain
@@ -276,7 +285,8 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
         return replace(state, status=RunStatus.FINISHED), old
     u_max = old.u_max
 
-    dt_pre = _dt_limit(u_max, old.grad, old.g_max, params, d, cfg, cfg.dt_max)
+    dt_pre = _dt_limit(u_max, old.grad, old.g_max, params, d, cfg, cfg.dt_max,
+                       work.w, work.up)
     dt = max(cfg.dt_min, dt_pre)
     if state.steps == 0:
         dt = min(dt, cfg.dt_init)
@@ -320,7 +330,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
                 g, lap = _stencil(v_new, d, slot.grad, slot.lap)
             g_max = _face_max(g, work.scratch)
             # capped at dt: `dt <= dt_pos` and `pinned` need no more
-            dt_pos = _dt_limit(u_max, g, g_max, params, d, cfg, dt)
+            dt_pos = _dt_limit(u_max, g, g_max, params, d, cfg, dt, work.w, work.up)
         attempts += 1
         if dt <= dt_pos or dt <= cfg.dt_min or attempts >= 5:
             break
@@ -356,7 +366,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     stall = 0
     if not all(map(math.isfinite, (u_lo, sup_u_new, v_lo, v_hi))):
         status = RunStatus.BLOWUP
-    elif sup_u_new > _resolve_threshold(cfg, u_max):
+    elif sup_u_new > cfg.blowup_threshold:
         status = RunStatus.BLOWUP
     else:
         if pinned and sup_u_new > u_max:
@@ -432,8 +442,7 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
     if not all(np.isfinite(f).all() and f.min() >= 0.0
                for f in (state.u.values, state.v.values)):
         raise ValueError("initial data must be finite and nonnegative")
-    cfg = replace(cfg, blowup_threshold=_resolve_threshold(
-        cfg, float(np.max(state.u.values))))
+    cfg = _resolved(cfg, float(np.max(state.u.values)))
     start_steps = state.steps
     series: list[ObserverSample] = []
     snapshots: list[tuple[float, Field, Field]] = []

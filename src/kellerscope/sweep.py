@@ -131,10 +131,7 @@ def _execute(task: _Task) -> RunRecord:
     try:
         # theta0 overflows for extreme chi, e.g. 1e100: an error cell
         theta_est, _ = theta0(spec.effective_gamma0(), task.chi, spec.C_reg)
-        prediction = classify_theory(
-            p=task.p, q=1.0, n=max(2, spec.domain.dim),
-            chi=task.chi, mu=task.mu, theta0_est=theta_est,
-        )
+        prediction = classify_theory(task.chi, task.mu, theta_est)
         params = _cell_params(spec, task.chi, task.mu, task.p)
         rng = np.random.default_rng([spec.seed, task.index])
         perturbation = REPLICA_PERTURBATION if task.replica > 0 else 0.0
@@ -214,18 +211,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
 
 _OUTCOME_RANK = {RunOutcome.BLOWUP: 2, RunOutcome.UNDECIDED: 1, RunOutcome.BOUNDED: 0}
 
-_BOUNDED_PREDICTIONS = frozenset({
-    TheoryRegime.SUB_LOGISTIC_BOUNDED,
-    TheoryRegime.SUBCRITICAL_BOUNDED,
-    TheoryRegime.CRITICAL_BOUNDED_BY_LOGISTIC,
-})
-
 
 def regime_map(records: Sequence[RunRecord]) -> RegimeMap:
     """Aggregate replicas per (chi, mu, p) cell and score theory agreement.
 
-    A prediction that asserts boundedness agrees only with a Bounded cell;
-    the non-committal regimes cannot be falsified and count as agreeing.
+    CriticalBoundedByLogistic (chi/mu below theta0) asserts boundedness and
+    agrees only with a Bounded cell; CriticalUndetermined cannot be
+    falsified and counts as agreeing. The diffusivity exponent p enters no
+    rule: the cells of one (chi, mu) carry one prediction whatever their p.
     Worsening outcomes as mu increases (at fixed chi, p) are reported as
     monotonicity violations, not errors.
     """
@@ -236,10 +229,8 @@ def regime_map(records: Sequence[RunRecord]) -> RegimeMap:
     for (chi, mu, p), group in sorted(cells.items()):
         outcome = max((r.outcome for r in group), key=_OUTCOME_RANK.__getitem__)
         prediction = group[0].theory_prediction
-        if prediction in _BOUNDED_PREDICTIONS:
-            agree = outcome is RunOutcome.BOUNDED
-        else:
-            agree = True
+        agree = (prediction is not TheoryRegime.CRITICAL_BOUNDED_BY_LOGISTIC
+                 or outcome is RunOutcome.BOUNDED)
         rows.append(RegimeCell(chi, mu, p, outcome, prediction, agree))
     agreement = sum(r.agree for r in rows) / len(rows) if rows else 1.0
 

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from kellerscope import (Domain, Field, ModelParams, RunOutcome, RunStatus,
-                         SimState, StepperConfig, TheoryConstants, TheoryRegime,
+                         SimState, StepperConfig, TheoryRegime,
                          c2_constant, classify_run, classify_theory,
                          estimate_c_reg, lgamma_norm, mu_threshold, run, theta0)
 from kellerscope.ic import ICSpec, build_ic
@@ -137,16 +139,6 @@ def test_theta0_rejects_bad_arguments():
             theta0(*args)
 
 
-def test_theory_constants_record():
-    tc = TheoryConstants.compute(3.0, 1.0, 2.0)
-    assert tc.c2 == 0.25
-    assert tc.theta0 == pytest.approx(0.6777015, abs=1e-6)
-    with pytest.raises(ValueError):
-        TheoryConstants(gamma0=1.0, c2=0.25, C_reg=1.0, theta0=0.5)
-    with pytest.raises(ValueError):
-        TheoryConstants(gamma0=2.0, c2=0.3, C_reg=1.0, theta0=0.5)
-
-
 # ----------------------------------------------------------- estimate_c_reg
 
 def make_samples(fields, dt, t0=0.0):
@@ -266,23 +258,15 @@ def test_estimate_c_reg_positive_on_bump_run():
 # ----------------------------------------------------------- classify_theory
 
 def test_classify_theory_paper_examples():
-    assert classify_theory(0.5, 1.2, 2, 1.0, 1.0, 0.5) \
-        is TheoryRegime.SUBCRITICAL_BOUNDED
-    assert classify_theory(0.0, 1.5, 3, 1.0, 1.0, 0.5) \
-        is TheoryRegime.SUPERCRITICAL_UNBOUNDED_POSSIBLE
-    assert classify_theory(0.0, 1.0, 2, 1.0, 10.0, 0.5) \
+    assert classify_theory(1.0, 10.0, 0.5) \
         is TheoryRegime.CRITICAL_BOUNDED_BY_LOGISTIC
 
 
 def test_classify_theory_rule_order():
-    # q below 1 wins regardless of the gap
-    assert classify_theory(-5.0, 0.9, 2, 1.0, 1.0, 1.0) \
-        is TheoryRegime.SUB_LOGISTIC_BOUNDED
-    # q == 1 above the threshold ratio stays open
-    assert classify_theory(0.0, 1.0, 2, 1.0, 1.0, 0.5) \
+    # a ratio above the threshold stays open, and so does one exactly at it
+    assert classify_theory(1.0, 1.0, 0.5) \
         is TheoryRegime.CRITICAL_UNDETERMINED
-    # exact borderline gap with q > 1 stays open as well
-    assert classify_theory(0.5, 1.5, 2, 1.0, 1.0, 0.5) \
+    assert classify_theory(1.0, 2.0, 0.5) \
         is TheoryRegime.CRITICAL_UNDETERMINED
 
 
@@ -293,16 +277,31 @@ def test_classify_theory_stable_under_ratio_preserving_perturbations():
         chi = 10.0 ** rng.uniform(-1, 1)
         ratio = theta * rng.uniform(0.1, 0.95)   # stay below the threshold
         mu = chi / ratio
-        base = classify_theory(0.0, 1.0, 2, chi, mu, theta)
+        base = classify_theory(chi, mu, theta)
         assert base is TheoryRegime.CRITICAL_BOUNDED_BY_LOGISTIC
         scale = rng.uniform(0.5, 2.0)
-        again = classify_theory(0.0, 1.0, 2, chi * scale, mu * scale, theta)
+        again = classify_theory(chi * scale, mu * scale, theta)
         assert again is base
 
 
-def test_classify_theory_rejects_bad_n():
-    with pytest.raises(ValueError):
-        classify_theory(0.0, 1.0, 1, 1.0, 1.0, 0.5)
+positive = st.floats(1e-6, 1e6)
+
+
+@given(chi=positive, mu=positive, theta=positive)
+@example(chi=1.0, mu=2.0, theta=0.5)
+def test_classify_theory_is_the_ratio_rule_property(chi, mu, theta):
+    # one comparison decides, and nothing else enters
+    bounded = classify_theory(chi, mu, theta) is TheoryRegime.CRITICAL_BOUNDED_BY_LOGISTIC
+    assert bounded == (chi / mu < theta)
+
+
+@given(args=st.lists(positive, min_size=3, max_size=3),
+       at=st.integers(0, 2),
+       bad=st.floats(max_value=0.0) | st.just(math.nan))
+def test_classify_theory_rejects_non_positive_inputs_property(args, at, bad):
+    args[at] = bad
+    with pytest.raises(ValueError, match="must be positive"):
+        classify_theory(*args)
 
 
 # -------------------------------------------------------------- classify_run

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,10 +248,23 @@ def test_dt_rule_skips_the_outflow_only_above_enough_property(case):
     # let the rule skip the outflow
     u_max, g, params, d, cfg, ratio = case
     g_max = stepper._face_max(g)
-    exact = stepper._dt_limit(u_max, g, g_max, params, d, cfg, math.inf)
+    spare = np.empty((2,) + g.shape)
+    exact = stepper._dt_limit(u_max, g, g_max, params, d, cfg, math.inf, *spare)
     cap = ratio * exact
-    got = stepper._dt_limit(u_max, g, g_max, params, d, cfg, cap)
+    got = stepper._dt_limit(u_max, g, g_max, params, d, cfg, cap, *spare)
     assert got == min(exact, cap)
+
+
+@settings(max_examples=100)
+@given(case=dt_rule_cases())
+def test_max_outflow_in_place_matches_the_fresh_array_formula_property(case):
+    _, g, params, d, _, _ = case
+    w = params.chi * g
+    out = np.maximum(w, 0.0)
+    for _, _, f_lo, f_hi, _, _ in d._axes:
+        out[f_hi] -= np.minimum(w[f_lo], 0.0)
+    want = float(np.add.reduce(out / d._h, axis=0).max())
+    assert grid._max_outflow(w, d, np.empty_like(w)) == want
 
 
 # ----------------------------------------------------------------------- step
@@ -373,6 +387,26 @@ def test_step_detects_blowup_threshold():
     # u* = 3: from u=1 the logistic pulls upward past the 1.0001 trigger
     res = run(Field.constant(d, 1.0), Field.constant(d, 1.0), p, cfg)
     assert res.final.status is RunStatus.BLOWUP
+
+
+@pytest.mark.parametrize("sup, a, status", [
+    (0.5, 1.5e8, RunStatus.RUNNING),   # to ~7.5e5: under 1e6, not 1e6 * sup
+    (10.0, 2e7, RunStatus.RUNNING),    # to ~2e6: under 1e6 * sup
+    (10.0, 2e8, RunStatus.BLOWUP),     # to ~2e7: past 1e6 * sup
+])
+def test_step_resolves_the_automatic_threshold_from_the_given_state(sup, a, status):
+    # one pinned step multiplies a flat density about 1 + a * dt times
+    d = Domain((1.0,), (4,))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1e-3, a=a)
+    state = SimState(0.0, Field.constant(d, sup), Field.constant(d, sup))
+    cfg = StepperConfig(dt_init=1e-2, dt_min=1e-2, dt_max=1e-2)
+    auto = step(state, p, cfg)
+    fixed = step(state, p, StepperConfig(dt_init=1e-2, dt_min=1e-2, dt_max=1e-2,
+                                         blowup_threshold=1e6 * max(1.0, sup)))
+    assert auto.status is fixed.status is status
+    assert auto.t == fixed.t and auto.steps == fixed.steps == 1
+    assert np.array_equal(auto.u.values, fixed.u.values)
+    assert np.array_equal(auto.v.values, fixed.v.values)
 
 
 @pytest.mark.parametrize("peak,k", [
@@ -505,7 +539,6 @@ def test_run_state_resumes_consistently():
     cfg_half = StepperConfig(dt_init=dt, dt_min=dt, dt_max=dt, t_end=0.05,
                              observer_stride=10, blowup_threshold=1e6)
     half = run(u0, v0, p, cfg_half)
-    from dataclasses import replace
     resumed = run_state(replace(half.final, status=RunStatus.RUNNING), p,
                         cfg_full)
     assert resumed.final.t == pytest.approx(full.final.t, abs=1e-12)
@@ -606,9 +639,9 @@ def _spy_step(monkeypatch, state, p, cfg):
         clamps.append((band, out[0] is not vals))
         return out
 
-    def counted_outflow(w, d):
+    def counted_outflow(*args):
         drains.append(1)
-        return outflow(w, d)
+        return outflow(*args)
 
     monkeypatch.setattr(stepper, "_solve_helmholtz", counted_solve)
     monkeypatch.setattr(stepper, "_clamp_roundoff", watched_clamp)
@@ -668,7 +701,7 @@ def test_carried_negative_density_is_rejected(monkeypatch):
     # overshoot: a negative density far beyond the round-off clamp's band,
     # which the next step and a run from it must reject
     p, cfg, s0 = _carry_case("drain-1d")
-    monkeypatch.setattr(stepper, "_max_outflow", lambda w, d: 0.0)
+    monkeypatch.setattr(stepper, "_max_outflow", lambda *args: 0.0)
     s1 = step(s0, p, cfg)
     monkeypatch.undo()
     assert s1.u.values.min() < -1e-3
@@ -824,19 +857,27 @@ def test_run_state_leaves_the_given_state_unchanged(name):
     assert np.array_equal(s0.u.values, given[0]) and np.array_equal(s0.v.values, given[1])
 
 
-@pytest.mark.parametrize("power", [0.0, 1.0])
-def test_run_steps_allocate_no_full_size_array(monkeypatch, power):
-    # criterion 7's physics at 128^2: after the first steps (the first builds
-    # the signal's eigenbasis), a step writes every full-size array into
-    # the run's own and allocates at its peak less than two cell arrays
-    # (numpy's iterator buffers for broadcast operands)
-    d = Domain((1.0, 1.0), (128, 128))
-    p = ModelParams(tau=1.0, chi=1.0, mu=10.0, a=4.0, k=1.0, p=power)
-    u0, v0 = build_ic(ICSpec("gaussian_bump", 0.35, 0.15), d)
-    cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=1e-2, max_steps=6,
-                        blowup_threshold=1e6)
-    peaks = []
-    inner = stepper._step
+@pytest.mark.parametrize("case", [0.0, 1.0, "resolve-2d@128"])
+def test_run_steps_allocate_no_full_size_array(monkeypatch, case):
+    # criterion 7's physics at 128^2 with diffusivity exponent 0 and 1, and
+    # a 128^2 run whose dt rule takes its fastest outflow more often than
+    # the run steps: after the first steps (the first builds the signal's eigenbasis), a
+    # step writes every full-size array into the run's own and allocates at
+    # its peak less than two cell arrays (numpy's iterator buffers for
+    # broadcast and strided operands, at most 8192 elements each, which
+    # below about 110^2 cells alone come to more)
+    if isinstance(case, str):
+        p, cfg, s0 = _carry_case(case)
+        cfg = replace(cfg, max_steps=6)
+        u0, v0, d = s0.u, s0.v, s0.domain
+    else:
+        d = Domain((1.0, 1.0), (128, 128))
+        p = ModelParams(tau=1.0, chi=1.0, mu=10.0, a=4.0, k=1.0, p=case)
+        u0, v0 = build_ic(ICSpec("gaussian_bump", 0.35, 0.15), d)
+        cfg = StepperConfig(dt_init=1e-4, dt_min=1e-10, dt_max=1e-2, max_steps=6,
+                            blowup_threshold=1e6)
+    peaks, drains = [], []
+    inner, outflow = stepper._step, stepper._max_outflow
 
     def traced(*args):
         tracemalloc.reset_peak()
@@ -845,13 +886,19 @@ def test_run_steps_allocate_no_full_size_array(monkeypatch, power):
         peaks.append(tracemalloc.get_traced_memory()[1] - base)
         return out
 
+    def counted_outflow(*args):
+        drains.append(1)
+        return outflow(*args)
+
     monkeypatch.setattr(stepper, "_step", traced)
+    monkeypatch.setattr(stepper, "_max_outflow", counted_outflow)
     tracemalloc.start()
     try:
         final = run(u0, v0, p, cfg).final
     finally:
         tracemalloc.stop()
     assert final.steps == len(peaks) == 6
+    assert (len(drains) > final.steps) == isinstance(case, str)
     assert max(peaks[2:]) < 2 * d.n_cells * 8
 
 

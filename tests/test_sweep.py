@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kellerscope import (Domain, ModelParams, RunOutcome, StepperConfig,
-                         SweepSpec, TheoryRegime, integrate, regime_map,
-                         run_sweep)
+                         SweepSpec, TheoryRegime, classify_theory, integrate,
+                         regime_map, run_sweep, theta0)
 from kellerscope.ic import ICName, ICSpec, build_ic
 from kellerscope.sweep import RunRecord
 
@@ -139,6 +139,25 @@ def test_sweep_records_failures_as_undecided():
     [record] = run_sweep(spec, workers=1)
     assert record.outcome is RunOutcome.UNDECIDED
     assert record.note.startswith("error:")
+
+
+def test_theory_column_ignores_p():
+    # the rule is chi/mu against theta0 alone: every p of a (chi, mu) cell
+    # gets one prediction, and the cells straddle the threshold (~0.81)
+    spec = small_spec(chi_values=(0.5, 1.0), mu_values=(0.5, 2.0),
+                      p_values=(0.0, 1.0, 2.0), repeat=1,
+                      base_params=ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0),
+                      base_cfg=StepperConfig(dt_init=1e-3, dt_min=1e-8, dt_max=1e-3,
+                                             t_end=0.01, blowup_threshold=1e6))
+    columns = {}
+    for r in run_sweep(spec, workers=1):
+        assert r.note == ""
+        columns.setdefault((r.chi, r.mu), set()).add(r.theory_prediction)
+    th = {chi: theta0(spec.effective_gamma0(), chi, spec.C_reg)[0]
+          for chi in spec.chi_values}
+    assert columns == {(chi, mu): {classify_theory(chi, mu, th[chi])}
+                       for chi in spec.chi_values for mu in spec.mu_values}
+    assert set.union(*columns.values()) == set(TheoryRegime)
 
 
 # -------------------------------------------------------------- regime_map

@@ -1,4 +1,4 @@
-"""Check that two checkouts compute bit-identical runs.
+"""Check that two checkouts compute bit-identical runs and sweep files.
 
     python3 tools/samebits.py PARENT_DIR CHANGE_DIR [--seed K]
 
@@ -11,16 +11,20 @@ only runs whose dt rule computes the fastest outflow. Three more runs take
 damped-2d's model and initial data where the grid operators take their
 slice path (above 1024 cells) on code the workloads leave out there: the
 face mean of ``phi`` (``p = 1``) and reaction off, each on 40 x 40, and 1D
-on 1100 cells. The configs
-are written to a temporary directory; nothing in either checkout changes.
-It compares, per run, the bytes of the final ``u`` and ``v``, the final
-``t``, ``steps`` and ``status``, and every field of every series row. It
-exits 0 when all of them agree, and 1 naming the first difference.
+on 1100 cells. Last, ``kellerscope sweep --workers 1`` runs sweep-2w's
+config, which writes ``records.csv`` and ``regime_map.csv``. The configs
+and the sweep's files are written to a temporary directory; nothing in
+either checkout changes. It compares, per run, the bytes of the final
+``u`` and ``v``, the final ``t``, ``steps`` and ``status``, and every field
+of every series row, and the bytes of both sweep files. It exits 0 when
+all of them agree, and 1 naming the first difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -29,19 +33,23 @@ import tempfile
 from dataclasses import replace
 
 
+SWEEP_FILES = ("records.csv", "regime_map.csv")
+
+
 def _runs(checkout: str, seed: int) -> dict:
-    """Every run of the three workloads in ``checkout``, keyed by workload
-    and grid or sweep cell, with floats as hex strings and fields as hex
-    bytes."""
+    """Every run of the three workloads in ``checkout`` under ``"runs"``,
+    keyed by workload and grid or sweep cell, with floats as hex strings and
+    fields as hex bytes; and under ``"files"`` the text of each sweep file,
+    keyed by its name."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import workloads
-    from kellerscope import Domain, build_ic, run
+    from kellerscope import Domain, build_ic, cli, run
     from kellerscope.config import parse_config
 
     def row(sample) -> list:
         return [x.hex() if isinstance(x, float) else x for x in vars(sample).values()]
 
-    out = {}
+    out, files = {}, {}
     with tempfile.TemporaryDirectory() as work:
         tiny = workloads.TinyFixedDt(seed, work)
         tiny.prepare()
@@ -73,7 +81,17 @@ def _runs(checkout: str, seed: int) -> dict:
                 "t": final.t.hex(), "steps": final.steps, "status": final.status.value,
                 "u": final.u.values.tobytes().hex(), "v": final.v.values.tobytes().hex(),
                 "series": [row(s) for s in res.series]}
-    return out
+        sweep_out = os.path.join(work, "sweep-files")
+        # the sweep prints its summary, and stdout carries this tool's JSON
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["sweep", "--config", sweep.path, "--out", sweep_out,
+                             "--workers", "1"])
+        if code != cli.EXIT_OK:
+            raise RuntimeError(f"kellerscope sweep exited {code}")
+        for name in SWEEP_FILES:
+            with open(os.path.join(sweep_out, name), newline="") as fh:
+                files[name] = fh.read()
+    return {"runs": out, "files": files}
 
 
 def collect(checkout: str, seed: int) -> dict:
@@ -88,6 +106,20 @@ def collect(checkout: str, seed: int) -> dict:
 
 def compare(a: dict, b: dict) -> str | None:
     """The first difference between two ``collect`` results, or None."""
+    diff = _compare_runs(a["runs"], b["runs"])
+    if diff is not None:
+        return diff
+    for name in SWEEP_FILES:
+        fa, fb = a["files"][name], b["files"][name]
+        if fa != fb:
+            la, lb = (f.splitlines(keepends=True) + ["(end of file)"] for f in (fa, fb))
+            i = next(i for i, (x, y) in enumerate(zip(la, lb)) if x != y)
+            return f"sweep {name}: line {i + 1}: {la[i]!r} vs {lb[i]!r}"
+    return None
+
+
+def _compare_runs(a: dict, b: dict) -> str | None:
+    """The first difference between the ``"runs"`` of two results, or None."""
     if list(a) != list(b):
         return f"different runs: {list(a)} vs {list(b)}"
     for run_name, ra in a.items():
@@ -127,8 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     if diff is not None:
         print(f"differ: {diff}")
         return 1
-    print(f"bit-identical: {len(a)} runs (final u, v, t, steps, status and "
-          f"{sum(len(r['series']) for r in a.values())} series rows)")
+    runs = a["runs"]
+    print(f"bit-identical: {len(runs)} runs (final u, v, t, steps, status and "
+          f"{sum(len(r['series']) for r in runs.values())} series rows); "
+          f"byte-identical: sweep {', '.join(SWEEP_FILES)}")
     return 0
 
 

@@ -6,8 +6,8 @@ from .diagnostics import (RunOutcome, TheoryRegime, c2_constant, classify_run,
 from .grid import (Domain, Field, GridShapeError, HelmholtzError, chemotactic_divergence,
                    integrate, laplacian_neumann, lgamma_norm, solve_helmholtz)
 from .ic import ICName, ICSpec, build_ic
-from .model import (ModelParams, PhiFamily, diffusive_divergence, g_logistic,
-                    homogeneous_steady_state, phi, rhs_u, rhs_v)
+from .model import (ModelParams, PhiFamily, diffusive_divergence,
+                    homogeneous_steady_state, phi)
 from .stepper import (ObserverSample, RunResult, RunStatus, SimState, StepperConfig,
                       run, run_state, stable_dt, step)
 from .sweep import RegimeMap, RunRecord, SweepSpec, regime_map, run_sweep
@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Domain", "Field", "GridShapeError", "laplacian_neumann",
     "chemotactic_divergence", "integrate", "lgamma_norm",
-    "ModelParams", "PhiFamily", "phi", "diffusive_divergence", "g_logistic",
-    "rhs_u", "rhs_v", "homogeneous_steady_state",
+    "ModelParams", "PhiFamily", "phi", "diffusive_divergence",
+    "homogeneous_steady_state",
     "StepperConfig", "SimState", "RunStatus", "RunResult", "ObserverSample",
     "HelmholtzError", "solve_helmholtz", "stable_dt", "step", "run", "run_state",
     "TheoryRegime", "RunOutcome",

@@ -2,8 +2,8 @@
 
 Subcommands: run, sweep, theta0, check, resume. Outcome exit codes:
 0 bounded / finished, 2 blow-up, 3 undecided or stalled; 10 means the
-command never produced a result (bad usage, bad config, IO failure) or
-that cells of a sweep failed.
+command never produced a result (bad usage, bad config, IO failure,
+arithmetic overflow) or that cells of a sweep failed.
 """
 
 from __future__ import annotations
@@ -195,13 +195,15 @@ def cmd_check(cfg: RunConfig | None = None) -> int:
         record(f"steady state preserved ({tag})", drift <= 1e-10,
                f"drift={drift:.2e}")
     record("c2 constant", c2_constant() == 0.25)
-    try:
-        for _ in range(5):
-            theta0(1.0 + 10.0 ** rng.uniform(-0.5, 1.0),
-                   10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 2))
-        record("theta0 closed form vs minimizer", True)
-    except RuntimeError as exc:
-        record("theta0 closed form vs minimizer", False, str(exc))
+    worst = ""
+    for _ in range(5):
+        gamma0, chi, c_reg = (1.0 + 10.0 ** rng.uniform(-0.5, 1.0),
+                              10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 2))
+        th, eta = theta0(gamma0, chi, c_reg)
+        h = [mu_threshold(gamma0, eta * f, chi, c_reg) for f in (1.0, 1 - 1e-3, 1 + 1e-3)]
+        if not (abs(h[0] - chi / th) <= 1e-12 * chi / th and h[0] <= min(h[1:])):
+            worst = f"theta0({gamma0!r}, {chi!r}, {c_reg!r}) = {th!r}: mu_threshold {h!r}"
+    record("theta0 closed form is the minimum", not worst, worst)
     d = domains[0]
     ic = cfg.ic if cfg is not None else ICSpec("gaussian_bump", 1.5, 0.2)
     u0, v0 = build_ic(ic, d)
@@ -247,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("gamma0", type=float)
     p_theta.add_argument("chi", type=float)
     p_theta.add_argument("c_reg", type=float)
-    add_common(sub.add_parser("check", help="run the invariant self-tests"))
+    sub.add_parser("check", help="run the invariant self-tests").add_argument(
+        "--config", help="path to a run configuration file")
     add_common(sub.add_parser("resume", help="continue a run from a snapshot"),
                resume=True)
     return parser
@@ -281,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "resume" and not args.resume:
             raise _CliError("resume requires --resume <snapshot>")
         return cmd_run(cfg, args.out, args.resume)
-    except (_CliError, ValueError, HelmholtzError) as exc:
+    except (_CliError, ValueError, ArithmeticError, HelmholtzError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

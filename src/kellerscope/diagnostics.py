@@ -1,7 +1,7 @@
 """Explicit theory constants, the regularity-constant estimator, and
 outcome classifiers. The L^gamma norm monitor lives in :mod:`kellerscope.grid`.
 
-The boundedness threshold theta0 comes from minimizing
+The boundedness threshold theta0 is the closed-form minimum of
 
     h(eta) = eta + c2 * C * eta**(-gamma0) * chi**(gamma0 + 1)
 
@@ -46,66 +46,40 @@ def c2_constant() -> float:
 
 
 def mu_threshold(gamma: float, eta: float, chi: float, C_reg: float) -> float:
-    """Damping level eta + c2 * C_reg * eta**(-gamma) * chi**(gamma+1)."""
+    """Damping level eta + c2 * C_reg * eta**(-gamma) * chi**(gamma+1),
+    evaluated as eta + c2 * C_reg * chi * (chi/eta)**gamma so that a large
+    chi near its optimal eta does not overflow."""
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     for name, val in (("eta", eta), ("chi", chi), ("C_reg", C_reg)):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive, got {val}")
-    return eta + c2_constant() * C_reg * eta**(-gamma) * chi**(gamma + 1.0)
+    return eta + c2_constant() * C_reg * chi * (chi / eta)**gamma
 
 
 def theta0(gamma0: float, chi: float, C_reg: float) -> tuple[float, float]:
     """Boundedness threshold for the sensitivity-to-damping ratio chi/mu.
 
-    Minimizes h(eta) = eta + c2*C_reg*eta**(-gamma0)*chi**(gamma0+1) in
-    closed form,
+    The minimum of h(eta) = eta + c2*C_reg*eta**(-gamma0)*chi**(gamma0+1)
+    over eta > 0 has the closed form
 
         eta* = (gamma0 * c2 * C_reg)**(1/(gamma0+1)) * chi,
         h(eta*) = eta* * (1 + 1/gamma0),
 
-    and returns (chi / h(eta*), eta*). The closed form is cross-checked
-    against a golden-section minimization on every call; disagreement
-    beyond 1e-10 relative raises RuntimeError. theta0 is scale-free in chi.
+    and theta0 returns (chi / h(eta*), eta*). theta0 is scale-free in chi.
+    Raises ValueError when eta* or h(eta*) is not finite.
     """
     for name, val in (("gamma0", gamma0), ("chi", chi), ("C_reg", C_reg)):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive, got {val}")
-    if not gamma0 > 1.0:
-        raise ValueError(f"gamma0 must exceed 1, got {gamma0}")
-    c2 = c2_constant()
-    eta_star = (gamma0 * c2 * C_reg) ** (1.0 / (gamma0 + 1.0)) * chi
+    if not 1.0 < gamma0 < math.inf:
+        raise ValueError(f"gamma0 must be finite and exceed 1, got {gamma0}")
+    eta_star = (gamma0 * c2_constant() * C_reg) ** (1.0 / (gamma0 + 1.0)) * chi
     h_star = eta_star * (1.0 + 1.0 / gamma0)
-
-    h = lambda eta: mu_threshold(gamma0, eta, chi, C_reg)
-    eta_num = _golden_section(h, eta_star * 1.0e-6, eta_star * 1.0e6,
-                              rel_tol=1.0e-12)
-    h_num = h(eta_num)
-    if abs(h_num - h_star) > 1.0e-10 * abs(h_star):
-        raise RuntimeError(
-            f"threshold closed form disagrees with numeric minimization: "
-            f"{h_star!r} vs {h_num!r}"
-        )
+    if not (math.isfinite(eta_star) and math.isfinite(h_star)):
+        raise ValueError(f"threshold not finite at gamma0={gamma0!r}, chi={chi!r}, "
+                         f"C_reg={C_reg!r}: eta*={eta_star!r}, h(eta*)={h_star!r}")
     return chi / h_star, eta_star
-
-
-def _golden_section(f, lo: float, hi: float, rel_tol: float) -> float:
-    """Minimize a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1.0e-300):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,

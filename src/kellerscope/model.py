@@ -1,5 +1,5 @@
-"""Coefficient families, the density's flux divergences and the semidiscrete
-right-hand sides.
+"""Coefficient families, the density's flux divergences and the steady
+state.
 
 The cell density u diffuses with density-dependent diffusivity phi(u),
 drifts up the gradient of the signal v with sensitivity chi, and grows
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Domain, Field, _check_on, _divergence, _upper, _upwind_flux,
-                   chemotactic_divergence, laplacian_neumann)
+from .grid import Domain, Field, _check_on, _divergence, _upper, _upwind_flux
 
 
 class PhiFamily(str, enum.Enum):
@@ -136,34 +135,6 @@ def _transport(u: np.ndarray, w: np.ndarray, params: ModelParams, d: Domain,
     flux = _diffusive_flux(u, u_up, params, d, flux, scratch)
     flux -= _upwind_flux(u, u_up, w, scratch)
     return _divergence(flux, d, scratch)
-
-
-def g_logistic(s, params: ModelParams):
-    """Growth law a*s - mu*s**2 (scalar or array); zero when reaction is off.
-
-    Raises ValueError for negative densities.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if np.min(s) < 0.0:
-        raise ValueError("the growth law is only defined for nonnegative densities")
-    if not params.reaction_on:
-        out = np.zeros_like(s)
-    else:
-        out = params.a * s - params.mu * s**2
-    return out if out.ndim else float(out)
-
-
-def rhs_u(u: Field, v: Field, params: ModelParams, d: Domain) -> Field:
-    """Semidiscrete time derivative of the cell density."""
-    diff = diffusive_divergence(u, params, d)
-    chemo = chemotactic_divergence(u, v, params.chi, d)
-    return Field(diff.values - chemo.values + g_logistic(u.values, params), d)
-
-
-def rhs_v(u: Field, v: Field, params: ModelParams, d: Domain) -> Field:
-    """Semidiscrete time derivative of the signal: (lap(v) - v + u) / tau."""
-    lap = laplacian_neumann(v, d)
-    return Field((lap.values - v.values + u.values) / params.tau, d)
 
 
 def homogeneous_steady_state(params: ModelParams) -> tuple[float, float]:

@@ -1,13 +1,13 @@
 """Binary state snapshots for bit-exact checkpoint and resume.
 
-Layout: a 64-byte ASCII header
+Layout: an ASCII header
 
     KSSNAP1 dim=<d> nx=<nx> ny=<ny> t=<hex-float> steps=<n>\\n
 
-(1D writes ny=1; the newline is followed by space padding up to byte 64),
-then the u field and the v field as row-major little-endian IEEE-754
-doubles. Time is stored as a hex float so a resumed run continues from the
-exact same bits.
+(1D writes ny=1; the newline is followed by space padding up to the next
+multiple of 64 bytes, so a header that fits takes exactly 64), then the u
+field and the v field as row-major little-endian IEEE-754 doubles. Time is
+stored as a hex float so a resumed run continues from the exact same bits.
 """
 
 from __future__ import annotations
@@ -39,20 +39,14 @@ def _hex_time(t: float) -> str:
 
 def write_snapshot(state: SimState, path: str) -> None:
     """Write ``state`` to ``path`` atomically: into ``path + ".tmp"`` first,
-    then renamed over ``path``. Raises SnapshotError when the header does not
-    fit its 64 bytes."""
+    then renamed over ``path``."""
     d = state.domain
     nx = d.cells[0]
     ny = d.cells[1] if d.dim == 2 else 1
     header = (f"{_MAGIC} dim={d.dim} nx={nx} ny={ny} "
               f"t={_hex_time(state.t)} steps={state.steps}\n")
     raw = header.encode("ascii")
-    if len(raw) > HEADER_BYTES:
-        raise SnapshotError(
-            f"header needs {len(raw)} bytes but the format allows {HEADER_BYTES}; "
-            f"grid extents or step counter too large for this snapshot layout"
-        )
-    raw += b" " * (HEADER_BYTES - len(raw))
+    raw += b" " * (-len(raw) % HEADER_BYTES)
     tmp = f"{path}.tmp"   # a failed write leaves the file at ``path`` as it was
     try:
         with open(tmp, "wb") as fh:
@@ -74,10 +68,15 @@ def read_snapshot(path: str, domain: Domain) -> SimState:
     short/overlong file.
     """
     with open(path, "rb") as fh:
-        raw = fh.read(HEADER_BYTES)
-        if len(raw) < HEADER_BYTES:
-            raise SnapshotError(
-                f"truncated header: expected {HEADER_BYTES} bytes, got {len(raw)}")
+        raw = b""
+        while b"\n" not in raw:   # the header line ends in its last block
+            block = fh.read(HEADER_BYTES)
+            if len(block) < HEADER_BYTES:
+                raise SnapshotError(f"truncated header: {len(raw) + len(block)} "
+                                    f"bytes and no complete {HEADER_BYTES}-byte block")
+            raw += block
+            if not raw.startswith(_MAGIC.encode("ascii")):
+                raise SnapshotError(f"bad magic: expected {_MAGIC!r}")
         try:
             header = raw.decode("ascii")
         except UnicodeDecodeError as exc:

@@ -129,7 +129,7 @@ def _execute(task: _Task) -> RunRecord:
     prediction = TheoryRegime.CRITICAL_UNDETERMINED
     start = time.perf_counter()
     try:
-        # theta0 overflows for extreme chi, e.g. 1e100: an error cell
+        # a threshold that is not finite (chi = C_reg = 1e300) is an error cell
         theta_est, _ = theta0(spec.effective_gamma0(), task.chi, spec.C_reg)
         prediction = classify_theory(task.chi, task.mu, theta_est)
         params = _cell_params(spec, task.chi, task.mu, task.p)

@@ -112,6 +112,25 @@ def test_theta0_row_golden(capsys):
     assert float(row[5]) == pytest.approx(0.67770, abs=1e-5)
 
 
+def test_theta0_row_at_huge_chi_is_finite(capsys):
+    # chi**(gamma0+1) overflows a float here; the closed form does not
+    assert main(["theta0", "3", "1e100", "1"]) == 0
+    row = [float(x) for x in capsys.readouterr().out.strip().split(",")]
+    assert all(np.isfinite(row))
+    assert row[5] == pytest.approx(0.8059274488676567, rel=1e-12)
+    assert row[4] == pytest.approx(row[1] / row[5], rel=1e-12)
+
+
+def test_run_overflow_exits_ten_with_one_error_line(tmp_path, capsys):
+    # phi(1e200) = (1 + 1e200)**2 overflows a float in the dt rule
+    text = (STEADY_CONFIG.replace("amplitude = 0.5", "amplitude = 1e200")
+            .replace("a = 1.0", "a = 1.0\np = 2.0"))
+    cfg = write(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_check_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
@@ -125,6 +144,25 @@ def test_failed_check_exits_ten(monkeypatch, capsys):
     n = sum(line.startswith(("ok  ", "FAIL")) for line in out.splitlines())
     assert "FAIL c2 constant" in out
     assert err.strip() == f"error: 1 of {n} checks failed"
+
+
+def test_check_fails_a_theta0_off_its_closed_form(monkeypatch, capsys):
+    true_theta0 = cli.theta0
+
+    def skewed(gamma0, chi, c_reg):
+        th, eta = true_theta0(gamma0, chi, c_reg)
+        return th * (1.0 + 1e-6), eta
+
+    monkeypatch.setattr(cli, "theta0", skewed)
+    assert main(["check"]) == 10
+    out, err = capsys.readouterr()
+    assert "FAIL theta0 closed form is the minimum" in out
+    assert err.strip().startswith("error: 1 of ")
+
+
+def test_check_rejects_out(capsys):
+    assert main(["check", "--out", "/nonexistent/x"]) == 10
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_sweep_writes_records_and_regime_map(tmp_path):

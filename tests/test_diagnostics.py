@@ -134,9 +134,23 @@ def test_theta0_matches_independent_minimizer():
 
 
 def test_theta0_rejects_bad_arguments():
-    for args in ((1.0, 1.0, 1.0), (3.0, 0.0, 1.0), (3.0, 1.0, -2.0)):
+    # the last: eta* overflows, so the threshold is not finite
+    for args in ((1.0, 1.0, 1.0), (3.0, 0.0, 1.0), (3.0, 1.0, -2.0), (math.inf, 1.0, 1.0),
+                 (3.0, 1e300, 1e300)):
         with pytest.raises(ValueError):
             theta0(*args)
+
+
+@given(gamma0=st.floats(1.0, 20.0, exclude_min=True), chi=st.floats(1e-100, 1e100),
+       c_reg=st.floats(1e-3, 1e3))
+@example(gamma0=3.0, chi=1e100, c_reg=1.0)
+def test_theta0_is_the_finite_scale_free_minimum_property(gamma0, chi, c_reg):
+    th, eta = theta0(gamma0, chi, c_reg)
+    assert math.isfinite(th) and math.isfinite(eta)
+    assert th == pytest.approx(theta0(gamma0, 1.0, c_reg)[0], rel=1e-12)
+    h = mu_threshold(gamma0, eta, chi, c_reg)
+    for f in (1.0 - 1e-3, 1.0 + 1e-3):
+        assert mu_threshold(gamma0, eta * f, chi, c_reg) >= h
 
 
 # ----------------------------------------------------------- estimate_c_reg
@@ -213,19 +227,6 @@ def test_estimate_c_reg_zero_forcing_inconsistency():
     samples = [(0.0, zero, zero), (0.1, zero, bump)]
     with pytest.raises(RuntimeError):
         estimate_c_reg(samples, 2.0, p, 0.0)
-
-
-def test_theta0_detects_internal_disagreement(monkeypatch):
-    import kellerscope.diagnostics as diag
-
-    true_mu = diag.mu_threshold
-
-    def skewed(gamma, eta, chi, C_reg):
-        return true_mu(gamma, eta, chi, C_reg) * (1.0 + 1e-6 * eta)
-
-    monkeypatch.setattr(diag, "mu_threshold", skewed)
-    with pytest.raises(RuntimeError):
-        diag.theta0(3.0, 1.0, 2.0)
 
 
 def test_estimate_c_reg_weight_shift_invariance():

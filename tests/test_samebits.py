@@ -21,11 +21,20 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
     a, b = trees
     assert samebits.compare(a, b) is None
     # tiny-fixed-dt's 4 runs, damped-2d's 2, sweep-2w's 12 cells and the
-    # 3 slice-path runs; then the sweep's two files, a header and 12 rows each
+    # 3 slice-path runs; then the sweep's two files, a header and 12 rows
+    # each, and the series and 64x64 snapshot of the run and of its resume
     runs = a["runs"]
     assert len(runs) == 21 and all(r["series"] for r in runs.values())
-    assert list(a["files"]) == ["records.csv", "regime_map.csv"]
-    assert all(len(text.splitlines()) == 13 for text in a["files"].values())
+    files = a["files"]
+    assert list(files) == list(samebits.FILES) == [
+        "sweep records.csv", "sweep regime_map.csv", "run series.csv",
+        "run final.snap", "resume series.csv", "resume final.snap"]
+    assert [len(files[f"sweep {name}"].splitlines())
+            for name in ("records.csv", "regime_map.csv")] == [13, 13]
+    for command in ("run", "resume"):
+        assert len(files[f"{command} series.csv"].splitlines()) > 2
+        assert len(files[f"{command} final.snap"]) == 2 * (64 + 2 * 64 * 64 * 8)
+    assert files["run final.snap"] != files["resume final.snap"]
 
     name = list(runs)[-1]
     for key, edit, message in (
@@ -39,17 +48,27 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
         assert message in samebits.compare(a, other)
 
     # a changed record names its file, its line and both versions of it
-    for file_name in samebits.SWEEP_FILES:
+    for file_name in ("sweep records.csv", "sweep regime_map.csv"):
         other = copy.deepcopy(b)
         lines = other["files"][file_name].splitlines(keepends=True)
         changed = lines[4].replace("Critical", "Kritical")
         other["files"][file_name] = "".join(lines[:4] + [changed] + lines[5:])
         assert changed != lines[4]
         assert samebits.compare(a, other) == (
-            f"sweep {file_name}: line 5: {lines[4]!r} vs {changed!r}")
+            f"{file_name}: line 5: {lines[4]!r} vs {changed!r}")
     # and a missing one, the end of its file
     other = copy.deepcopy(b)
-    other["files"]["regime_map.csv"] = "".join(
-        a["files"]["regime_map.csv"].splitlines(keepends=True)[:-1])
-    assert samebits.compare(a, other).startswith("sweep regime_map.csv: line 13: ")
+    other["files"]["resume series.csv"] = "".join(
+        a["files"]["resume series.csv"].splitlines(keepends=True)[:-1])
+    n = len(a["files"]["resume series.csv"].splitlines())
+    assert samebits.compare(a, other).startswith(f"resume series.csv: line {n}: ")
     assert samebits.compare(a, other).endswith("vs '(end of file)'")
+    # a snapshot names its first differing byte, or the end of the shorter
+    snap = a["files"]["run final.snap"]
+    for edited, message in ((snap[:200] + ("0" if snap[200] != "0" else "1") + snap[201:],
+                             "first difference at byte 100 (65600 vs 65600 bytes)"),
+                            (snap[:-16], "first difference at byte 65592 "
+                                         "(65600 vs 65592 bytes)")):
+        other = copy.deepcopy(b)
+        other["files"]["run final.snap"] = edited
+        assert samebits.compare(a, other) == f"run final.snap: {message}"

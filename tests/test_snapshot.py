@@ -109,16 +109,26 @@ def test_overlong_file_rejected(tmp_path):
         read_snapshot(str(path), d)
 
 
-def test_header_overflow_refused(tmp_path):
-    # a hypothetical header too large for the fixed 64-byte layout
-    d = Domain((1.0, 1.0), (640, 480))
-    vals = np.zeros(d.shape)
-    state = SimState(t=float.fromhex("0x1.921fb54442d18p-3"),
-                     u=Field(vals, d), v=Field(vals, d),
-                     steps=10**24)
-    with pytest.raises(SnapshotError) as err:
-        write_snapshot(state, str(tmp_path / "s.snap"))
-    assert "64" in str(err.value)
+@pytest.mark.parametrize("cells,t,steps,header_bytes", [
+    ((128, 128), 0.1, 1234567, 128),
+    ((640, 480), float.fromhex("0x1.921fb54442d18p-3"), 10**24, 128),
+], ids=["128x128", "640x480"])
+def test_long_header_pads_to_64_byte_blocks_and_round_trips(tmp_path, cells, t,
+                                                            steps, header_bytes):
+    # a header past 64 bytes grows by whole blocks instead of being refused
+    d = Domain((1.0, 1.0), cells)
+    state = random_state(d, np.random.default_rng(5))
+    state = SimState(t=t, u=state.u, v=state.v, steps=steps)
+    path = tmp_path / "s.snap"
+    write_snapshot(state, str(path))
+    raw = path.read_bytes()
+    assert len(raw) == header_bytes + 2 * d.n_cells * 8
+    line, _, pad = raw[:header_bytes].decode("ascii").partition("\n")
+    assert len(line) + 1 > HEADER_BYTES and pad == " " * len(pad)
+    back = read_snapshot(str(path), d)
+    assert back.t == state.t and back.steps == state.steps
+    assert np.array_equal(back.u.values, state.u.values)
+    assert np.array_equal(back.v.values, state.v.values)
 
 
 def write_raw(path, header, payload=b""):

@@ -132,13 +132,26 @@ def test_sweep_records_failures_as_undecided():
     assert len(records) == 4
     assert all(r.outcome is RunOutcome.UNDECIDED for r in records)
     assert all("error" in r.note for r in records)
-    # theta0 overflows at this chi: an error cell, not a silent
-    # CriticalUndetermined prediction
+
+
+def test_sweep_runs_a_cell_of_huge_chi():
+    # theta0's closed form stays finite at chi = 1e100: a prediction, a run
     spec = small_spec(chi_values=(1e100,), mu_values=(2.0,), repeat=1,
                       ic=ICSpec("constant", 0.5, 0.1))
     [record] = run_sweep(spec, workers=1)
+    assert record.note == ""
+    assert record.theory_prediction is TheoryRegime.CRITICAL_UNDETERMINED
+    assert record.outcome is RunOutcome.BOUNDED
+
+
+def test_sweep_records_a_threshold_that_is_not_finite_as_an_error():
+    # eta* overflows at chi = C_reg = 1e300: an error cell, not a silent
+    # CriticalUndetermined prediction
+    spec = small_spec(chi_values=(1e300,), mu_values=(2.0,), repeat=1,
+                      C_reg=1e300, ic=ICSpec("constant", 0.5, 0.1))
+    [record] = run_sweep(spec, workers=1)
     assert record.outcome is RunOutcome.UNDECIDED
-    assert record.note.startswith("error:")
+    assert record.note.startswith("error: threshold not finite")
 
 
 def test_theory_column_ignores_p():

@@ -11,13 +11,16 @@ only runs whose dt rule computes the fastest outflow. Three more runs take
 damped-2d's model and initial data where the grid operators take their
 slice path (above 1024 cells) on code the workloads leave out there: the
 face mean of ``phi`` (``p = 1``) and reaction off, each on 40 x 40, and 1D
-on 1100 cells. Last, ``kellerscope sweep --workers 1`` runs sweep-2w's
-config, which writes ``records.csv`` and ``regime_map.csv``. The configs
-and the sweep's files are written to a temporary directory; nothing in
+on 1100 cells. Then ``kellerscope sweep --workers 1`` runs sweep-2w's
+config, which writes ``records.csv`` and ``regime_map.csv``. Last,
+``kellerscope run`` takes damped-2d's 64 x 64 config to t = 0.05, and
+``kellerscope run --resume`` continues from its ``final.snap`` to the
+config's ``t_end``; each writes ``series.csv`` and ``final.snap``. The
+configs and the files are written to a temporary directory; nothing in
 either checkout changes. It compares, per run, the bytes of the final
 ``u`` and ``v``, the final ``t``, ``steps`` and ``status``, and every field
-of every series row, and the bytes of both sweep files. It exits 0 when
-all of them agree, and 1 naming the first difference.
+of every series row, and the bytes of the six files. It exits 0 when all
+of them agree, and 1 naming the first difference.
 """
 
 from __future__ import annotations
@@ -33,18 +36,20 @@ import tempfile
 from dataclasses import replace
 
 
-SWEEP_FILES = ("records.csv", "regime_map.csv")
+FILES = ("sweep records.csv", "sweep regime_map.csv", "run series.csv",
+         "run final.snap", "resume series.csv", "resume final.snap")
+RUN_T_END = 0.05   # where the run stops and the resumed run starts
 
 
 def _runs(checkout: str, seed: int) -> dict:
     """Every run of the three workloads in ``checkout`` under ``"runs"``,
     keyed by workload and grid or sweep cell, with floats as hex strings and
-    fields as hex bytes; and under ``"files"`` the text of each sweep file,
-    keyed by its name."""
+    fields as hex bytes; and under ``"files"`` each of ``FILES``, a CSV as
+    its text and a snapshot as its bytes in hex."""
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
     import workloads
     from kellerscope import Domain, build_ic, cli, run
-    from kellerscope.config import parse_config
+    from kellerscope.config import format_config, parse_config
 
     def row(sample) -> list:
         return [x.hex() if isinstance(x, float) else x for x in vars(sample).values()]
@@ -81,16 +86,31 @@ def _runs(checkout: str, seed: int) -> dict:
                 "t": final.t.hex(), "steps": final.steps, "status": final.status.value,
                 "u": final.u.values.tobytes().hex(), "v": final.v.values.tobytes().hex(),
                 "series": [row(s) for s in res.series]}
-        sweep_out = os.path.join(work, "sweep-files")
-        # the sweep prints its summary, and stdout carries this tool's JSON
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["sweep", "--config", sweep.path, "--out", sweep_out,
-                             "--workers", "1"])
-        if code != cli.EXIT_OK:
-            raise RuntimeError(f"kellerscope sweep exited {code}")
-        for name in SWEEP_FILES:
-            with open(os.path.join(sweep_out, name), newline="") as fh:
-                files[name] = fh.read()
+        _, full, _ = damped.cases[0]   # 64x64
+        with open(full) as fh:
+            cfg = parse_config(fh.read())
+        half = os.path.join(work, "damped-half.cfg")
+        with open(half, "w") as fh:
+            fh.write(format_config(replace(cfg, stepper=replace(cfg.stepper,
+                                                                t_end=RUN_T_END))))
+        first = os.path.join(work, "run")
+        for command, argv in (
+                ("sweep", ["sweep", "--config", sweep.path, "--workers", "1"]),
+                ("run", ["run", "--config", half]),
+                ("resume", ["run", "--config", full,
+                            "--resume", os.path.join(first, "final.snap")])):
+            dest = os.path.join(work, command)
+            # each command prints its summary, and stdout carries this tool's JSON
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--out", dest])
+            if code == cli.EXIT_FAILURE:
+                raise RuntimeError(f"kellerscope {' '.join(argv)} exited {code}")
+            for key in FILES:
+                if key.startswith(f"{command} "):
+                    path = os.path.join(dest, key.split(" ", 1)[1])
+                    with open(path, "rb") as fh:
+                        raw = fh.read()
+                    files[key] = raw.hex() if key.endswith(".snap") else raw.decode()
     return {"runs": out, "files": files}
 
 
@@ -109,12 +129,18 @@ def compare(a: dict, b: dict) -> str | None:
     diff = _compare_runs(a["runs"], b["runs"])
     if diff is not None:
         return diff
-    for name in SWEEP_FILES:
+    for name in FILES:
         fa, fb = a["files"][name], b["files"][name]
-        if fa != fb:
-            la, lb = (f.splitlines(keepends=True) + ["(end of file)"] for f in (fa, fb))
-            i = next(i for i, (x, y) in enumerate(zip(la, lb)) if x != y)
-            return f"sweep {name}: line {i + 1}: {la[i]!r} vs {lb[i]!r}"
+        if fa == fb:
+            continue
+        if name.endswith(".snap"):   # hex, two digits a byte
+            i = next((i for i, (x, y) in enumerate(zip(fa, fb)) if x != y),
+                     min(len(fa), len(fb)))
+            return (f"{name}: first difference at byte {i // 2} "
+                    f"({len(fa) // 2} vs {len(fb) // 2} bytes)")
+        la, lb = (f.splitlines(keepends=True) + ["(end of file)"] for f in (fa, fb))
+        i = next(i for i, (x, y) in enumerate(zip(la, lb)) if x != y)
+        return f"{name}: line {i + 1}: {la[i]!r} vs {lb[i]!r}"
     return None
 
 
@@ -162,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = a["runs"]
     print(f"bit-identical: {len(runs)} runs (final u, v, t, steps, status and "
           f"{sum(len(r['series']) for r in runs.values())} series rows); "
-          f"byte-identical: sweep {', '.join(SWEEP_FILES)}")
+          f"byte-identical: {', '.join(FILES)}")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: run, sweep, theta0, check, resume. Outcome exit codes:
-0 bounded / finished, 2 blow-up, 3 undecided or stalled; 10 means the
-command never produced a result (bad usage, bad config, IO failure,
-arithmetic overflow) or that cells of a sweep failed.
+Subcommands: run (``--resume`` continues a snapshot), sweep, theta0,
+check. Outcome exit codes: 0 bounded / finished, 2 blow-up, 3 undecided or
+stalled; 10 means the command never produced a result (bad usage, bad
+config, IO failure, arithmetic overflow) or that cells of a sweep failed.
 """
 
 from __future__ import annotations
@@ -230,20 +230,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, workers=False, resume=False):
+    def add_common(p):
         p.add_argument("--config", help="path to a run configuration file")
         p.add_argument("--out", help="output directory (overrides the config)")
-        if workers:
-            p.add_argument("--workers", type=int, default=None,
-                           help="worker process count "
-                                "(default: KELLERSCOPE_WORKERS or 1)")
-        if resume:
-            p.add_argument("--resume", help="snapshot file to continue from")
+        return p
 
-    add_common(sub.add_parser("run", help="integrate one configuration"),
-               resume=True)
-    add_common(sub.add_parser("sweep", help="map a (chi, mu, p) grid"),
-               workers=True)
+    add_common(sub.add_parser("run", help="integrate one configuration")).add_argument(
+        "--resume", help="snapshot file to continue from")
+    add_common(sub.add_parser("sweep", help="map a (chi, mu, p) grid")).add_argument(
+        "--workers", type=int, default=None,
+        help="worker process count (default: KELLERSCOPE_WORKERS or 1)")
     p_theta = sub.add_parser("theta0", help="print the boundedness threshold "
                                             "as a CSV row")
     p_theta.add_argument("gamma0", type=float)
@@ -251,8 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_theta.add_argument("c_reg", type=float)
     sub.add_parser("check", help="run the invariant self-tests").add_argument(
         "--config", help="path to a run configuration file")
-    add_common(sub.add_parser("resume", help="continue a run from a snapshot"),
-               resume=True)
     return parser
 
 
@@ -281,8 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args.config)
         if args.command == "sweep":
             return cmd_sweep(cfg, _workers_from(args), args.out)
-        if args.command == "resume" and not args.resume:
-            raise _CliError("resume requires --resume <snapshot>")
         return cmd_run(cfg, args.out, args.resume)
     except (_CliError, ValueError, ArithmeticError, HelmholtzError) as exc:
         print(f"error: {exc}", file=sys.stderr)

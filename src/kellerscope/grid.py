@@ -283,7 +283,7 @@ def _amax(x: np.ndarray) -> float:
 
 
 def _amin(x: np.ndarray) -> float:
-    """``x.min()`` as a float; see :func:`_amax`."""
+    """``x.min()`` as a float, NaN for any NaN entry; see :func:`_amax`."""
     return x.item(x.argmin())
 
 

@@ -37,13 +37,17 @@ def _hex_time(t: float) -> str:
     return f"{mantissa}p{exp}"
 
 
+def _grid_tokens(d: Domain) -> str:
+    """The header's grid tokens for ``d``: ``dim=<d> nx=<nx> ny=<ny>``,
+    with ny=1 in 1D."""
+    nx, ny = d.cells + (1,) * (2 - d.dim)
+    return f"dim={d.dim} nx={nx} ny={ny}"
+
+
 def write_snapshot(state: SimState, path: str) -> None:
     """Write ``state`` to ``path`` atomically: into ``path + ".tmp"`` first,
     then renamed over ``path``."""
-    d = state.domain
-    nx = d.cells[0]
-    ny = d.cells[1] if d.dim == 2 else 1
-    header = (f"{_MAGIC} dim={d.dim} nx={nx} ny={ny} "
+    header = (f"{_MAGIC} {_grid_tokens(state.domain)} "
               f"t={_hex_time(state.t)} steps={state.steps}\n")
     raw = header.encode("ascii")
     raw += b" " * (-len(raw) % HEADER_BYTES)
@@ -62,10 +66,10 @@ def write_snapshot(state: SimState, path: str) -> None:
 def read_snapshot(path: str, domain: Domain) -> SimState:
     """Read a snapshot written for ``domain``; returns a Running state.
 
-    Raises SnapshotError on a bad magic, an unsupported dimension, a clock
-    that no run can reach (a non-finite or negative ``t``, a negative
-    ``steps``), a grid mismatch against the expected domain, or a
-    short/overlong file.
+    Raises SnapshotError on a bad magic, a clock that no run can reach (a
+    non-finite or negative ``t``, a negative ``steps``), grid tokens other
+    than ``domain``'s own (see :func:`_grid_tokens`), or a short/overlong
+    file.
     """
     with open(path, "rb") as fh:
         raw = b""
@@ -89,9 +93,6 @@ def read_snapshot(path: str, domain: Domain) -> SimState:
             key, _, val = tok.partition("=")
             fields[key] = val
         try:
-            dim = int(fields["dim"])
-            nx = int(fields["nx"])
-            ny = int(fields["ny"])
             t = float.fromhex(fields["t"])
             steps = int(fields["steps"])
         except (KeyError, ValueError, OverflowError) as exc:
@@ -99,23 +100,18 @@ def read_snapshot(path: str, domain: Domain) -> SimState:
         if not (math.isfinite(t) and t >= 0.0) or steps < 0:
             raise SnapshotError(f"impossible clock t={t!r} steps={steps}: a run "
                                 f"starts at t=0, steps=0 and counts up")
-        if dim not in (1, 2):
-            raise SnapshotError(f"unsupported dimension {dim}")
-        shape = (nx,) if dim == 1 else (nx, ny)
-        if dim == 1 and ny != 1:
-            raise SnapshotError(f"1D snapshot must carry ny=1, got ny={ny}")
-        if dim != domain.dim or shape != domain.shape:
-            raise SnapshotError(
-                f"snapshot grid dim={dim} shape={shape} does not match expected "
-                f"domain dim={domain.dim} shape={domain.shape}")
-        count = int(np.prod(shape))
+        grid, want = " ".join(tokens[1:4]), _grid_tokens(domain)
+        if grid != want:
+            raise SnapshotError(f"snapshot grid does not match the domain: dimension "
+                                f"and cells {grid!r} in the file, {want!r} expected")
+        count = domain.n_cells
         expected = 2 * count * 8
         payload = fh.read()
     if len(payload) != expected:
         raise SnapshotError(
             f"field payload: expected {expected} bytes, got {len(payload)}")
     data = np.frombuffer(payload, dtype="<f8")
-    u = data[:count].reshape(shape).astype(np.float64)
-    v = data[count:].reshape(shape).astype(np.float64)
+    u = data[:count].reshape(domain.shape).astype(np.float64)
+    v = data[count:].reshape(domain.shape).astype(np.float64)
     return SimState(t=t, u=Field(u, domain), v=Field(v, domain),
                     steps=steps, status=RunStatus.RUNNING)

@@ -41,6 +41,9 @@ class StepperConfig:
 
     stall_patience: consecutive steps pinned below dt_min with a growing
     sup-norm before the run is declared stalled.
+
+    max_steps: the most steps a state may count (``SimState.steps``); a
+    state that has taken them ends StalledDt without a step.
     """
 
     dt_init: float = 1.0e-3
@@ -192,7 +195,11 @@ def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
     """
     # accepted diffusivity families are nondecreasing, so the face maximum
     # is bounded by phi at the largest cell value
-    phi_max = _phi(u_max, params)
+    try:
+        phi_max = _phi(u_max, params)
+    except OverflowError:
+        raise OverflowError(f"diffusivity phi(u) = k*(1+u)^p overflows a float at "
+                            f"density u = {u_max!r} with p = {params.p!r}") from None
     rate = advection = 0.0
     for h, gm in zip(d.spacing, g_max):
         # rounding is monotone, so this is the largest |chi * g| on the axis
@@ -237,8 +244,11 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
     every dt. Solver round-off may leave fields a hair below zero; values
     within -1e-13 of the field scale are clamped back to zero.
 
-    Raises ValueError for a state that is not running or whose density has
-    a negative entry; this is the one validation of the density per step.
+    Raises ValueError for a state that is not running. A running state at
+    ``t_end`` (up to 1e-12 relative) comes back Finished and one that has
+    taken ``max_steps`` steps StalledDt, each as it is; any other whose
+    density has a negative entry raises ValueError, the one validation of
+    the density per step.
     Everything the step reads about the state (the extrema of both fields,
     the signal's gradient and Laplacian) is computed from its arrays on every
     call; only :func:`run_state` carries it from one step to the next. The
@@ -276,13 +286,16 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     index reads allocate."""
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
+    # the stop rules a state can meet before a step: a resumed finished run
+    # stays finished, and a budget ends a run before its data is read
+    if _finished(state.t, cfg):
+        return replace(state, status=RunStatus.FINISHED), old
+    if state.steps >= cfg.max_steps:
+        return replace(state, status=RunStatus.STALLED_DT), old
     d = state.domain
     u_old, v_old = state.u.values, state.v.values
     if old.u_min < 0.0:
         raise ValueError("cannot step a state with a negative density")
-    remaining = cfg.t_end - state.t
-    if remaining <= 0.0:
-        return replace(state, status=RunStatus.FINISHED), old
     u_max = old.u_max
 
     dt_pre = _dt_limit(u_max, old.grad, old.g_max, params, d, cfg, cfg.dt_max,
@@ -290,7 +303,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     dt = max(cfg.dt_min, dt_pre)
     if state.steps == 0:
         dt = min(dt, cfg.dt_init)
-    dt = min(dt, remaining)
+    dt = min(dt, cfg.t_end - state.t)
     # a signal the solve leaves where it was keeps its stencil in its slot
     slot = work.signal[old.grad is work.signal[0].grad]
 
@@ -373,7 +386,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
             stall = state.stall_steps + 1
         if stall >= cfg.stall_patience:
             status = RunStatus.STALLED_DT
-        elif t_new >= cfg.t_end - 1.0e-12 * cfg.t_end:
+        elif _finished(t_new, cfg):
             status = RunStatus.FINISHED
     # built past the dataclass __init__, which costs a few percent of a
     # step on tiny grids; the fields are the same
@@ -381,6 +394,13 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     new.__dict__.update(t=t_new, u=Field._wrap(u_new, d), v=Field._wrap(v_new, d),
                         steps=state.steps + 1, status=status, stall_steps=stall)
     return new, _Carry(g, lap, g_max, *u_extrema, *v_extrema)
+
+
+def _finished(t: float, cfg: StepperConfig) -> bool:
+    """The finish rule: ``t`` has reached ``t_end`` up to 1e-12 relative, so
+    a last step that lands a rounding short of ``t_end`` ends the run, and
+    the state it leaves is finished for a resumed run too."""
+    return t >= cfg.t_end - 1.0e-12 * cfg.t_end
 
 
 def _clamp_roundoff(vals: np.ndarray, band: float = 1.0e-13
@@ -429,21 +449,18 @@ def run(u0: Field, v0: Field, params: ModelParams, cfg: StepperConfig,
 
 def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
               capture_fields: bool = False) -> RunResult:
-    """Continue stepping an existing state (checkpoint resume path).
+    """Continue stepping an existing state (checkpoint resume path): a
+    resumed run is the run continued, because every stop rule, the
+    ``max_steps`` budget included, reads the state's own clock and count.
 
     Raises ValueError unless both fields are finite and nonnegative: the one
-    check of the data a run starts from, fresh or resumed. The carry of the
-    starting state is computed from its arrays once, after that check, and
-    each step hands the next its own (see :class:`_Carry`); nothing outside
-    the loop sees it. The whole loop, observer samples included, runs under
-    one ``np.errstate`` that lets overflow through silently, as :func:`step`
-    does for one step.
+    check of the data a run starts from, fresh or resumed, made on the
+    extrema of the starting state's carry. That carry is computed from its
+    arrays once, and each step hands the next its own (see
+    :class:`_Carry`); nothing outside the loop sees it. The whole loop,
+    observer samples included, runs under one ``np.errstate`` that lets
+    overflow through silently, as :func:`step` does for one step.
     """
-    if not all(np.isfinite(f).all() and f.min() >= 0.0
-               for f in (state.u.values, state.v.values)):
-        raise ValueError("initial data must be finite and nonnegative")
-    cfg = _resolved(cfg, float(np.max(state.u.values)))
-    start_steps = state.steps
     series: list[ObserverSample] = []
     snapshots: list[tuple[float, Field, Field]] = []
 
@@ -455,12 +472,13 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
     work = _work(state.domain)
     with np.errstate(over="ignore", invalid="ignore"):
         carry = _carry_of(state)
+        # a NaN extremum fails both comparisons
+        if not (0.0 <= carry.u_min and carry.u_max < math.inf
+                and 0.0 <= carry.v_lo and carry.v_hi < math.inf):
+            raise ValueError("initial data must be finite and nonnegative")
+        cfg = _resolved(cfg, carry.u_max)
         observe(state, 0.0)
         while state.status is RunStatus.RUNNING:
-            if state.steps - start_steps >= cfg.max_steps:
-                state = replace(state, status=RunStatus.STALLED_DT)
-                observe(state, 0.0)
-                break
             prev_t = state.t
             state, carry = _step(state, carry, params, cfg, work)
             if (state.steps % cfg.observer_stride == 0

@@ -129,6 +129,8 @@ def test_run_overflow_exits_ten_with_one_error_line(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 10
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert err.strip() == ("error: diffusivity phi(u) = k*(1+u)^p overflows a "
+                           "float at density u = 1e+200 with p = 2.0")
 
 
 def test_check_passes(capsys):
@@ -297,7 +299,7 @@ def test_resume_continues_run(tmp_path):
     out_full = str(tmp_path / "full")
     assert main(["run", "--config", cfg_half, "--out", out_half]) == 0
     snap = os.path.join(out_half, "final.snap")
-    assert main(["resume", "--config", cfg_full, "--out", out_resumed,
+    assert main(["run", "--config", cfg_full, "--out", out_resumed,
                  "--resume", snap]) == 0
     assert main(["run", "--config", cfg_full, "--out", out_full]) == 0
     from kellerscope import Domain
@@ -309,18 +311,20 @@ def test_resume_continues_run(tmp_path):
     assert np.allclose(a.u.values, b.u.values, rtol=1e-12, atol=1e-15)
 
 
-def test_run_resume_and_resume_write_the_same_files(tmp_path):
-    half = write(tmp_path, STEADY_CONFIG.replace("t_end = 0.05", "t_end = 0.02"),
-                 "half.cfg")
-    cfg = write(tmp_path, STEADY_CONFIG)
-    assert main(["run", "--config", half, "--out", str(tmp_path / "first")]) == 0
-    snap = str(tmp_path / "first" / "final.snap")
-    for command in ("run", "resume"):
-        assert main([command, "--config", cfg, "--out", str(tmp_path / command),
-                     "--resume", snap]) == 0
-    for name in ("series.csv", "final.snap"):
-        assert ((tmp_path / "run" / name).read_bytes()
-                == (tmp_path / "resume" / name).read_bytes())
+@pytest.mark.parametrize("max_steps", [None, 50])
+def test_resuming_a_finished_run_changes_nothing(tmp_path, capsys, max_steps):
+    # t_end = 0.05 at dt 1e-3 takes 50 steps: with max_steps = 50 the run
+    # finishes on its last step, and its resume is still Finished
+    budget = f"\nmax_steps = {max_steps}" if max_steps else ""
+    cfg = write(tmp_path, STEADY_CONFIG.replace("t_end = 0.05", "t_end = 0.05" + budget))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["run", "--config", cfg, "--out", str(first)]) == 0
+    summary = capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--out", str(again),
+                 "--resume", str(first / "final.snap")]) == 0
+    assert capsys.readouterr().out == summary
+    assert summary.startswith("status=Finished ") and " steps=50 " in summary
+    assert (again / "final.snap").read_bytes() == (first / "final.snap").read_bytes()
 
 
 @pytest.mark.parametrize("field, cell, value", [("u", 3, np.nan), ("v", 7, -3.0)])
@@ -335,7 +339,7 @@ def test_resume_rejects_invalid_fields(tmp_path, capsys, field, cell, value):
     write_snapshot(SimState(t=0.01, u=Field(fields["u"], d), v=Field(fields["v"], d),
                             steps=10), snap)
     cfg = write(tmp_path, STEADY_CONFIG)
-    assert main(["resume", "--config", cfg, "--out", str(tmp_path / "o"),
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--resume", snap]) == 10
     assert "error: initial data must be finite and nonnegative" in capsys.readouterr().err
 
@@ -349,9 +353,14 @@ def test_helmholtz_failure_exits_ten(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_resume_requires_snapshot_flag(tmp_path):
+def test_resume_is_run_resume_only(tmp_path, capsys):
+    # there is no separate resume command: `run --resume` is the one way in
     cfg = write(tmp_path, STEADY_CONFIG)
-    assert main(["resume", "--config", cfg]) == 10
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    snap = str(tmp_path / "o" / "final.snap")
+    capsys.readouterr()
+    assert main(["resume", "--config", cfg, "--resume", snap]) == 10
+    assert "invalid choice: 'resume'" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -46,6 +46,23 @@ def test_lgamma_norm_rejects_gamma_below_one():
         lgamma_norm(Field.constant(d, 1.0), 0.9, d)
 
 
+@pytest.mark.parametrize("vals, clipped", [
+    ([1.0, 2.0, -1e-14], True),     # round-off below 1e-12 of the scale
+    ([1e6, 2e6, -1e-7], True),      # the band grows with the field's scale
+    ([1.0, 2.0, -1e-9], False),
+    ([1e6, 2e6, -1e-5], False),
+])
+def test_lgamma_norm_clips_round_off_and_rejects_negative_data(vals, clipped):
+    d = Domain((3.0,), (3,))   # h = 1
+    f = Field(np.array(vals), d)
+    if clipped:
+        want = lgamma_norm(Field(np.maximum(f.values, 0.0), d), 2.0, d)
+        assert lgamma_norm(f, 2.0, d) == want
+    else:
+        with pytest.raises(ValueError, match="nonnegative"):
+            lgamma_norm(f, 2.0, d)
+
+
 def test_lgamma_norm_monotone_in_gamma_on_probability_domain():
     d = Domain((1.0,), (32,))
     rng = np.random.default_rng(5)

@@ -15,6 +15,7 @@ from kellerscope import (Domain, Field, HelmholtzError, ModelParams, RunStatus,
                          solve_helmholtz, stable_dt, step, stepper)
 from kellerscope.grid import laplacian_neumann
 from kellerscope.ic import ICSpec, build_ic
+from kellerscope.snapshot import read_snapshot, write_snapshot
 
 
 def dense_helmholtz_matrix(alpha, d):
@@ -425,6 +426,64 @@ def test_nonfinite_becomes_blowup_status(peak, k):
     assert new.status is RunStatus.BLOWUP
 
 
+def test_solve_overflow_ends_the_step_blowup():
+    # v = 1e308 makes the signal solve's residual overflow: that is blow-up
+    # territory, reported as a status and never raised
+    d = Domain((1.0,), (8,))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0)
+    state = SimState(0.0, Field.constant(d, 1.0), Field.constant(d, 1e308))
+    new = step(state, p, StepperConfig(blowup_threshold=1e300))
+    assert new.status is RunStatus.BLOWUP and new.steps == 1
+
+
+@pytest.mark.parametrize("patience", [1, 3])
+def test_growing_steps_pinned_above_the_limit_end_stalled(patience):
+    # dt = 0.1 against a diffusion limit of about 0.007 on 8 cells: every
+    # step is pinned, and the logistic lifts the flat density each time
+    d = Domain((1.0,), (8,))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0)
+    cfg = StepperConfig(dt_init=0.1, dt_min=0.1, dt_max=0.1, t_end=100.0,
+                        observer_stride=1, blowup_threshold=1e300,
+                        stall_patience=patience)
+    res = run(Field.constant(d, 0.1), Field.constant(d, 0.1), p, cfg)
+    assert res.final.status is RunStatus.STALLED_DT
+    assert res.final.steps == res.final.stall_steps == patience
+    sups = [s.sup_u for s in res.series]
+    assert len(sups) == patience + 1 and all(a < b for a, b in zip(sups, sups[1:]))
+    assert [s.status for s in res.series[:-1]] == ["Running"] * patience
+
+
+@pytest.mark.parametrize("t_end, short", [(0.25, False), (0.11082327570555277, True)])
+def test_resuming_a_finished_run_takes_no_step(t_end, short):
+    # the second run's last step lands one rounding short of t_end, which
+    # the finish rule accepts: the resume must accept it too
+    d = Domain((1.0,), (8,))
+    p = ModelParams(tau=1.0, chi=0.1, mu=1.0, a=1.0, k=1e-3)
+    cfg = StepperConfig(dt_init=t_end / 7, dt_max=1.0, t_end=t_end, blowup_threshold=1e6)
+    done = run(Field.constant(d, 1.0), Field.constant(d, 1.0), p, cfg).final
+    assert done.status is RunStatus.FINISHED and (done.t < t_end) is short
+    again = run_state(replace(done, status=RunStatus.RUNNING), p, cfg).final
+    assert (again.t, again.steps, again.status) == (done.t, done.steps, done.status)
+    assert np.array_equal(again.u.values, done.u.values)
+
+
+def test_step_honours_the_budget_of_the_state_it_is_given():
+    # max_steps bounds the state's own count, however the state was made
+    d = Domain((1.0,), (8,))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0)
+    state = SimState(0.25, Field.constant(d, 0.5), Field.constant(d, 0.5), steps=7)
+    cfg = cfg_with(max_steps=7)
+    new = step(state, p, cfg)
+    assert new.status is RunStatus.STALLED_DT
+    assert (new.t, new.steps) == (state.t, 7)
+    assert new.u is state.u and new.v is state.v
+    assert step(state, p, replace(cfg, max_steps=8)).steps == 8
+    res = run_state(state, p, cfg)
+    assert res.final.status is RunStatus.STALLED_DT and res.final.steps == 7
+    assert [(s.t, s.dt, s.status) for s in res.series] == [
+        (0.25, 0.0, "Running"), (0.25, 0.0, "StalledDt")]
+
+
 def test_run_finishes_at_t_end_exactly():
     d = Domain((1.0,), (5,))
     p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0)
@@ -544,6 +603,33 @@ def test_run_state_resumes_consistently():
     assert resumed.final.t == pytest.approx(full.final.t, abs=1e-12)
     assert np.allclose(resumed.final.u.values, full.final.u.values,
                        rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("cells, max_steps, k", [
+    ((32,), None, 1), ((32,), None, 50), ((32,), 100, 50),
+    ((32, 32), None, 37), ((32, 32), 150, 60),
+], ids=["1d-k1", "1d-k50", "1d-budget100-k50", "2d-k37", "2d-budget150-k60"])
+def test_split_run_is_the_run_continued_bitwise(tmp_path, cells, max_steps, k):
+    # "run to the end" against "run k steps, snapshot, resume to the end";
+    # with a budget, the resumed run stops where the unsplit one does
+    d = Domain((1.0,) * len(cells), cells)
+    p = ModelParams(tau=1.0, chi=1.0, mu=10.0, a=1.0, k=1.0, p=1.0)
+    u0, v0 = build_ic(ICSpec("gaussian_bump", 0.35, 0.15), d)
+    cfg = StepperConfig(dt_init=1e-4, dt_min=1e-9, dt_max=1e-2, t_end=0.05,
+                        observer_stride=10, blowup_threshold=1e6,
+                        max_steps=max_steps or 5_000_000)
+    full = run(u0, v0, p, cfg)
+    first = run(u0, v0, p, replace(cfg, max_steps=k)).final
+    assert first.steps == k < full.final.steps
+    path = str(tmp_path / "split.snap")
+    write_snapshot(first, path)
+    resumed = run_state(read_snapshot(path, d), p, cfg)
+    a, b = full.final, resumed.final
+    assert (b.t, b.steps, b.status) == (a.t, a.steps, a.status)
+    assert b.u.values.tobytes() == a.u.values.tobytes()
+    assert b.v.values.tobytes() == a.v.values.tobytes()
+    assert resumed.series[1:] == [s for s in full.series if s.t > first.t]
+    assert a.status is (RunStatus.STALLED_DT if max_steps else RunStatus.FINISHED)
 
 
 # ------------------------------------------- carried signal gradient/Laplacian
@@ -897,7 +983,8 @@ def test_run_steps_allocate_no_full_size_array(monkeypatch, case):
         final = run(u0, v0, p, cfg).final
     finally:
         tracemalloc.stop()
-    assert final.steps == len(peaks) == 6
+    # the seventh call meets the budget and ends the run without a step
+    assert final.steps == len(peaks) - 1 == 6
     assert (len(drains) > final.steps) == isinstance(case, str)
     assert max(peaks[2:]) < 2 * d.n_cells * 8
 

@@ -12,6 +12,7 @@ import argparse
 import enum
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .grid import (Domain, Field, HelmholtzError, chemotactic_divergence, integr
 from .ic import ICSpec, build_ic
 from .model import ModelParams, diffusive_divergence, homogeneous_steady_state
 from .snapshot import read_snapshot, write_snapshot
-from .stepper import SimState, StepperConfig, run, run_state, step
-from .sweep import check_workers, regime_map, run_sweep
+from .stepper import ObserverSample, SimState, StepperConfig, run, run_state, step
+from .sweep import RegimeCell, RunRecord, check_workers, regime_map, run_sweep
 
 EXIT_OK = 0
 EXIT_BLOWUP = 2
@@ -36,12 +37,6 @@ _OUTCOME_EXIT = {
     RunOutcome.UNDECIDED: EXIT_UNDECIDED,
 }
 
-# CSV columns, each the name of an attribute of the rows written
-SERIES_COLUMNS = ("t", "dt", "mass", "sup_u", "sup_v", "l2_u", "lgamma_u", "status")
-RECORD_COLUMNS = ("chi", "mu", "p", "replica", "outcome", "sup_u_max", "t_final",
-                  "theory_prediction", "note")
-REGIME_COLUMNS = ("chi", "mu", "p", "outcome", "theory_prediction", "agree")
-
 
 class _CliError(Exception):
     """Anything that should abort with exit code 10."""
@@ -51,9 +46,7 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        raise _CliError("--config is required for this subcommand")
+def _load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -75,7 +68,10 @@ def _csv_cell(val) -> str:
     return _g17(val)
 
 
-def _write_csv(path: str, columns: tuple[str, ...], rows) -> None:
+def _write_csv(path: str, row_type: type, rows) -> None:
+    """One line per row; the columns are the fields of ``row_type`` that
+    take part in its equality (a record's ``wall_time`` does not)."""
+    columns = [f.name for f in fields(row_type) if f.compare]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(columns) + "\n")
@@ -107,7 +103,7 @@ def cmd_run(cfg: RunConfig, out_dir: str | None = None,
     else:
         u0, v0 = build_ic(cfg.ic, cfg.domain)
         result = run(u0, v0, cfg.params, cfg.stepper)
-    _write_csv(os.path.join(out, "series.csv"), SERIES_COLUMNS, result.series)
+    _write_csv(os.path.join(out, "series.csv"), ObserverSample, result.series)
     try:
         write_snapshot(result.final, os.path.join(out, "final.snap"))
     except (OSError, ValueError) as exc:
@@ -129,8 +125,8 @@ def cmd_sweep(cfg: RunConfig, workers: int, out_dir: str | None = None) -> int:
     out = _ensure_out_dir(cfg, out_dir)
     records = run_sweep(cfg.sweep, workers=workers)
     rmap = regime_map(records)
-    _write_csv(os.path.join(out, "records.csv"), RECORD_COLUMNS, records)
-    _write_csv(os.path.join(out, "regime_map.csv"), REGIME_COLUMNS, rmap.rows)
+    _write_csv(os.path.join(out, "records.csv"), RunRecord, records)
+    _write_csv(os.path.join(out, "regime_map.csv"), RegimeCell, rmap.rows)
     print(f"runs={len(records)} agreement={rmap.agreement_fraction:.6g}")
     for note in rmap.monotonicity_violations:
         print(f"monotonicity: {note}")
@@ -231,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="path to a run configuration file")
+        p.add_argument("--config", required=True,
+                       help="path to a run configuration file")
         p.add_argument("--out", help="output directory (overrides the config)")
         return p
 

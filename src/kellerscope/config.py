@@ -1,13 +1,15 @@
 """Strict key-value run configuration.
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, blank
-lines ignored. Every key has a documented default; unknown sections or keys
-and duplicated keys are hard errors, and every error carries its line
-number. Lists are comma-separated.
+lines ignored. A key left out takes the default of the field it sets, so
+``ModelParams()``, ``StepperConfig()`` and the other constructors state the
+defaults; unknown sections or keys and duplicated keys are hard errors, and
+every error carries its line number. Lists are comma-separated.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 
@@ -36,54 +38,54 @@ class RunConfig:
     out_dir: str = "out"
 
 
-# Schema: section -> key -> (parser-name, default-as-text). Defaults are the
-# documented ones; a config may be empty.
-_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
+# Schema: section -> key -> parser: a parser name, or the enum class whose
+# member values are the key's choices. format_config writes keys in this order.
+_SCHEMA: dict[str, dict[str, str | type[enum.Enum]]] = {
     "domain": {
-        "dim": ("int", "1"),
-        "lengths": ("float_list", "1.0"),
-        "cells": ("int_list", "64"),
+        "dim": "int",
+        "lengths": "float_list",
+        "cells": "int_list",
     },
     "model": {
-        "tau": ("float", "1.0"),
-        "chi": ("float", "1.0"),
-        "mu": ("float", "1.0"),
-        "a": ("float", "0.0"),
-        "k": ("float", "1.0"),
-        "p": ("float", "0.0"),
-        "phi_family": ("enum:canonical,linear", "canonical"),
-        "reaction": ("onoff", "on"),
+        "tau": "float",
+        "chi": "float",
+        "mu": "float",
+        "a": "float",
+        "k": "float",
+        "p": "float",
+        "phi_family": PhiFamily,
+        "reaction": "onoff",
     },
     "stepper": {
-        "dt_init": ("float", "1e-3"),
-        "dt_min": ("float", "1e-9"),
-        "dt_max": ("float", "1e-1"),
-        "safety": ("float", "0.9"),
-        "blowup_threshold": ("float_or_auto", "auto"),
-        "t_end": ("float", "1.0"),
-        "observer_stride": ("int", "10"),
-        "series_gamma": ("float", "3.0"),
-        "stall_patience": ("int", "50"),
-        "max_steps": ("int", "5000000"),
-        "helmholtz_tol": ("float", "1e-10"),
-        "helmholtz_maxiter": ("int", "20000"),
+        "dt_init": "float",
+        "dt_min": "float",
+        "dt_max": "float",
+        "safety": "float",
+        "blowup_threshold": "float_or_auto",
+        "t_end": "float",
+        "observer_stride": "int",
+        "series_gamma": "float",
+        "stall_patience": "int",
+        "max_steps": "int",
+        "helmholtz_tol": "float",
+        "helmholtz_maxiter": "int",
     },
     "ic": {
-        "name": ("enum:constant,gaussian_bump,two_bumps,checkerboard", "constant"),
-        "amplitude": ("float", "1.0"),
-        "width": ("float", "0.1"),
+        "name": ICName,
+        "amplitude": "float",
+        "width": "float",
     },
     "output": {
-        "out_dir": ("str", "out"),
+        "out_dir": "str",
     },
     "sweep": {
-        "chi_values": ("float_list", "1.0"),
-        "mu_values": ("float_list", "1.0"),
-        "p_values": ("float_list", "0.0"),
-        "repeat": ("int", "1"),
-        "seed": ("int", "0"),
-        "gamma0": ("float_or_auto", "auto"),
-        "c_reg": ("float", "1.0"),
+        "chi_values": "float_list",
+        "mu_values": "float_list",
+        "p_values": "float_list",
+        "repeat": "int",
+        "seed": "int",
+        "gamma0": "float_or_auto",
+        "c_reg": "float",
     },
 }
 
@@ -96,7 +98,7 @@ def _field(key: str) -> str:
     return _RENAMED.get(key, key)
 
 
-def _parse_value(kind: str, text: str):
+def _parse_value(kind: str | type[enum.Enum], text: str):
     if kind == "str":
         return text
     if kind == "int":
@@ -117,15 +119,14 @@ def _parse_value(kind: str, text: str):
         if low not in ("on", "off"):
             raise ValueError("expected 'on' or 'off'")
         return low == "on"
-    if kind.startswith("enum:"):
-        options = kind[5:].split(",")
-        if text not in options:
-            raise ValueError(f"expected one of {', '.join(options)}")
-        return text
-    raise AssertionError(kind)
+    options = [member.value for member in kind]   # an enum class
+    if text not in options:
+        raise ValueError(f"expected one of {', '.join(options)}")
+    return kind(text)
 
 
-def _domain(dim: int, lengths: tuple[float, ...], cells: tuple[int, ...]) -> Domain:
+def _domain(dim: int = 1, lengths: tuple[float, ...] = (1.0,),
+            cells: tuple[int, ...] = (64,)) -> Domain:
     """The [domain] keys as a Domain; a one-entry list serves every axis.
 
     Domain checks the rest. A one-entry ``cells`` widens to at most one
@@ -175,30 +176,23 @@ def parse_config(text: str) -> RunConfig:
                          f"(first set on line {lines[(section, key)]})"))
             continue
         lines[(section, key)] = lineno
-        kind = _SCHEMA[section][key][0]
         try:
-            values[section][key] = _parse_value(kind, val)
+            values[section][key] = _parse_value(_SCHEMA[section][key], val)
         except ValueError as exc:
             problems.append((lineno, f"bad value for '{key}': {exc}"))
     if problems:
         raise ConfigError(problems)
 
-    def get(section: str, key: str):
-        if key in values[section]:
-            return values[section][key]
-        kind, default = _SCHEMA[section][key]
-        return _parse_value(kind, default)
-
     def build(section: str, ctor, **fixed):
-        keys = _SCHEMA[section]
         try:
-            return ctor(**{_field(k): get(section, k) for k in keys}, **fixed)
+            return ctor(**{_field(k): v for k, v in values[section].items()}, **fixed)
         except ValueError as exc:
             # constraint messages start with the offending field name; use it
-            # to recover the exact config line when that key was set
+            # to recover the exact config line when that key was set, else
+            # name the last line set in the section (0: none)
             first = str(exc).split()[0] if str(exc) else ""
-            at = {k: lines.get((section, k), 0) for k in keys}   # 0: not set
-            ln = next((at[k] for k in keys if _field(k) == first), 0) or max(at.values())
+            at = {k: lines[(section, k)] for k in values[section]}
+            ln = next((at[k] for k in at if _field(k) == first), max(at.values(), default=0))
             problems.append((ln, f"[{section}] {exc}"))
             return None
 
@@ -213,7 +207,7 @@ def parse_config(text: str) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return RunConfig(domain=domain, params=params, stepper=stepper, ic=ic,
-                     sweep=sweep, out_dir=get("output", "out_dir"))
+                     sweep=sweep, **values["output"])
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -237,7 +231,7 @@ def format_config(cfg: RunConfig) -> str:
             return ", ".join(fmt(v) for v in val)
         if isinstance(val, float):
             return repr(val)
-        if isinstance(val, (ICName, PhiFamily)):
+        if isinstance(val, enum.Enum):
             return val.value
         return str(val)
 

@@ -41,9 +41,9 @@ class ModelParams:
                  stay positive.
     """
 
-    tau: float
-    chi: float
-    mu: float
+    tau: float = 1.0
+    chi: float = 1.0
+    mu: float = 1.0
     a: float = 0.0
     k: float = 1.0
     p: float = 0.0

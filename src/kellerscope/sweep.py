@@ -28,11 +28,11 @@ class SweepSpec:
     """A full sweep: value grids, shared template, initial data, seeding."""
 
     domain: Domain
-    chi_values: tuple[float, ...]
-    mu_values: tuple[float, ...]
-    p_values: tuple[float, ...]
     base_params: ModelParams
     base_cfg: StepperConfig
+    chi_values: tuple[float, ...] = (1.0,)
+    mu_values: tuple[float, ...] = (1.0,)
+    p_values: tuple[float, ...] = (0.0,)
     ic: ICSpec = ICSpec()
     repeat: int = 1
     seed: int = 0
@@ -56,6 +56,8 @@ class SweepSpec:
                              f"got {self.p_values}")
         if self.repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {self.repeat}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gamma0 is not None and not self.gamma0 > 1.0:
             raise ValueError(f"gamma0 must exceed 1, got {self.gamma0}")
         if not self.C_reg > 0.0:

@@ -85,6 +85,10 @@ def test_run_undecided_exit_three(tmp_path):
 def test_missing_config_exit_ten(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 10
     assert "error" in capsys.readouterr().err
+    for command in ("run", "sweep"):
+        assert main([command, "--out", str(tmp_path / "o")]) == 10
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_config_exit_ten(tmp_path, capsys):
@@ -167,11 +171,11 @@ def test_check_rejects_out(capsys):
     assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
-def test_sweep_writes_records_and_regime_map(tmp_path):
+def test_sweep_writes_records_and_regime_map(tmp_path, capsys):
     text = STEADY_CONFIG + """
 [sweep]
 chi_values = 0.5
-mu_values = 2.0, 4.0
+mu_values = 2.0, 4.0, 20.0
 p_values = 0.0
 repeat = 1
 seed = 3
@@ -180,13 +184,16 @@ seed = 3
     out = str(tmp_path / "sweep_out")
     assert main(["sweep", "--config", cfg, "--out", out, "--workers", "2"]) == 0
     records = read_csv(os.path.join(out, "records.csv"))
-    assert len(records) == 2
-    assert records[0]["outcome"] == "Bounded"
-    assert "wall_time" not in records[0]
+    assert len(records) == 3
+    assert list(records[0]) == ["chi", "mu", "p", "replica", "outcome", "sup_u_max",
+                                "t_final", "theory_prediction", "note"]
+    # mu = 20 pulls u from 0.5 toward 0.05, still moving at t_end
+    assert [r["outcome"] for r in records] == ["Bounded", "Bounded", "Undecided"]
     rmap = read_csv(os.path.join(out, "regime_map.csv"))
-    assert len(rmap) == 2
-    assert {"chi", "mu", "p", "outcome", "theory_prediction", "agree"} \
-        <= set(rmap[0].keys())
+    assert len(rmap) == 3
+    assert list(rmap[0]) == ["chi", "mu", "p", "outcome", "theory_prediction", "agree"]
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "monotonicity: chi=0.5 p=0: mu=4 bounded but mu=20 is Undecided"]
 
 
 def test_sweep_with_failed_cells_exits_ten(tmp_path, capsys):
@@ -342,6 +349,16 @@ def test_resume_rejects_invalid_fields(tmp_path, capsys, field, cell, value):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--resume", snap]) == 10
     assert "error: initial data must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_resume_from_a_missing_snapshot_exits_ten(tmp_path, capsys):
+    cfg = write(tmp_path, STEADY_CONFIG)
+    snap = str(tmp_path / "nope.snap")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--resume", snap]) == 10
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot resume from {snap}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_helmholtz_failure_exits_ten(tmp_path, capsys):

@@ -74,6 +74,62 @@ def test_minimal_config_uses_documented_defaults():
     assert cfg.sweep.gamma0 is None
 
 
+# what an empty config means, key by key: each of the 34 keys at its
+# default, in schema order
+DEFAULTS_TEXT = """\
+[domain]
+dim = 1
+lengths = 1.0
+cells = 64
+
+[model]
+tau = 1.0
+chi = 1.0
+mu = 1.0
+a = 0.0
+k = 1.0
+p = 0.0
+phi_family = canonical
+reaction = on
+
+[stepper]
+dt_init = 0.001
+dt_min = 1e-09
+dt_max = 0.1
+safety = 0.9
+blowup_threshold = auto
+t_end = 1.0
+observer_stride = 10
+series_gamma = 3.0
+stall_patience = 50
+max_steps = 5000000
+helmholtz_tol = 1e-10
+helmholtz_maxiter = 20000
+
+[ic]
+name = constant
+amplitude = 1.0
+width = 0.1
+
+[output]
+out_dir = out
+
+[sweep]
+chi_values = 1.0
+mu_values = 1.0
+p_values = 0.0
+repeat = 1
+seed = 0
+gamma0 = auto
+c_reg = 1.0
+"""
+
+
+def test_empty_config_formats_to_the_golden_defaults():
+    assert format_config(parse_config("")) == DEFAULTS_TEXT
+    assert sum(" = " in line for line in DEFAULTS_TEXT.splitlines()) == 34
+
+
 def test_full_config_round_trip():
     cfg = parse_config(FULL)
     assert cfg.domain.cells == (8, 12)
@@ -111,7 +167,9 @@ def test_constraint_error_names_key_and_line():
                             ("[stepper]\nt_end = 3.0\nhelmholtz_tol = 0.0\n",
                              3, "helmholtz_tol"),
                             ("[stepper]\nhelmholtz_maxiter = -1\nt_end = 3.0\n",
-                             2, "helmholtz_maxiter")):
+                             2, "helmholtz_maxiter"),
+                            ("[stepper]\nt_end = 3.0\nblowup_threshold = 1.0\n",
+                             3, "blowup_threshold")):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert any(ln == line and key in msg for ln, msg in err.value.problems), text
@@ -128,6 +186,8 @@ def test_constraint_error_names_key_and_line():
     ("[sweep]\ngamma0 = 0.5\n", [2]),
     # every linear-family cell runs p = 0, whatever p the sweep would record
     ("[model]\nphi_family = linear\n[sweep]\nseed = 3\np_values = 0.0, 2.0\n", [5]),
+    # a negative seed would fail every cell at run time
+    ("[sweep]\nrepeat = 2\nseed = -1\n", [3]),
 ])
 def test_sweep_constraint_error_names_line(text, lines):
     with pytest.raises(ConfigError) as err:
@@ -173,6 +233,17 @@ def test_bad_value_types_reported():
     with pytest.raises(ConfigError) as err:
         parse_config("[model]\nreaction = maybe\n")
     assert any("'on' or 'off'" in msg for _, msg in err.value.problems)
+    for text, want in (
+            ("[model]\nchi = inf\n", "bad value for 'chi': must be finite"),
+            ("[sweep]\nmu_values = 1.0, nan\n",
+             "bad value for 'mu_values': must be finite"),
+            ("[model]\nphi_family = Linear\n",
+             "bad value for 'phi_family': expected one of canonical, linear"),
+            ("[ic]\nname = bump\n", "bad value for 'name': expected one of "
+                                     "constant, gaussian_bump, two_bumps, checkerboard")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.problems == [(2, want)]
 
 
 def test_multiple_problems_collected():

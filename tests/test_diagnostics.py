@@ -203,6 +203,8 @@ def test_estimate_c_reg_requires_two_samples_and_increasing_times():
             estimate_c_reg([(t, f, f) for t in times], 2.0, p, 0.0)
     with pytest.raises(ValueError):
         estimate_c_reg([(0.0, f, f), (0.1, f, f)], 1.0, p, 0.0)
+    with pytest.raises(ValueError, match="does not match s0_time"):
+        estimate_c_reg([(0.0, f, f), (0.1, f, f)], 2.0, p, 0.05)
 
 
 def test_estimate_c_reg_weights_each_sample_by_its_interval():

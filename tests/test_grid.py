@@ -178,6 +178,14 @@ def test_chemotactic_constant_signal_gives_zero():
         assert np.all(out.values == 0.0)
 
 
+@pytest.mark.parametrize("chi", [0.0, -1.0, np.nan])
+def test_chemotactic_rejects_a_nonpositive_chi(chi):
+    d = Domain((1.0,), (3,))
+    f = Field.constant(d, 1.0)
+    with pytest.raises(ValueError, match="chi must be positive"):
+        chemotactic_divergence(f, f, chi, d)
+
+
 def test_chemotactic_three_cell_upwind_oracle():
     d = Domain((3.0,), (3,))
     u = np.array([1.0, 2.0, 1.0])

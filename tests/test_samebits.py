@@ -28,7 +28,8 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
     files = a["files"]
     assert list(files) == list(samebits.FILES) == [
         "sweep records.csv", "sweep regime_map.csv", "run series.csv",
-        "run final.snap", "resume series.csv", "resume final.snap"]
+        "run final.snap", "resume series.csv", "resume final.snap",
+        "config format_config"]
     assert [len(files[f"sweep {name}"].splitlines())
             for name in ("records.csv", "regime_map.csv")] == [13, 13]
     for command in ("run", "resume"):
@@ -56,6 +57,18 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
         assert changed != lines[4]
         assert samebits.compare(a, other) == (
             f"{file_name}: line 5: {lines[4]!r} vs {changed!r}")
+    # a changed default, its line in the formatted configs; the second
+    # config writes the enum members it sets
+    configs = files["config format_config"].splitlines(keepends=True)
+    assert len(configs) == 2 * 45   # 34 keys, 6 headers, 5 blank lines each
+    assert {"phi_family = linear\n", "name = checkerboard\n"} <= set(configs[45:])
+    i = configs.index("stall_patience = 50\n")
+    other = copy.deepcopy(b)
+    other["files"]["config format_config"] = "".join(
+        configs[:i] + ["stall_patience = 51\n"] + configs[i + 1:])
+    assert samebits.compare(a, other) == (
+        f"config format_config: line {i + 1}: 'stall_patience = 50\\n' "
+        f"vs 'stall_patience = 51\\n'")
     # and a missing one, the end of its file
     other = copy.deepcopy(b)
     other["files"]["resume series.csv"] = "".join(

@@ -81,10 +81,20 @@ def test_unsupported_dimension_rejected(tmp_path):
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "s.snap"
-    path.write_bytes(b"NOTSNAP" + b" " * 57 + b"\0" * 64)
-    with pytest.raises(SnapshotError) as err:
+    # a first token that only starts with the magic is another format
+    for header in (b"NOTSNAP", b"KSSNAP12 dim=1 nx=4 ny=1 t=0x0p+0 steps=0\n"):
+        path.write_bytes(header.ljust(HEADER_BYTES) + b"\0" * 64)
+        with pytest.raises(SnapshotError) as err:
+            read_snapshot(str(path), Domain((1.0,), (4,)))
+        assert "bad magic" in str(err.value)
+
+
+def test_non_ascii_header_rejected(tmp_path):
+    path = tmp_path / "s.snap"
+    header = "KSSNAP1 dim=1 nx=4 ny=1 t=0x0p+0 steps=0 \u00e9\n".encode("utf-8")
+    path.write_bytes(header.ljust(HEADER_BYTES) + b"\0" * 64)
+    with pytest.raises(SnapshotError, match="header is not ASCII"):
         read_snapshot(str(path), Domain((1.0,), (4,)))
-    assert "magic" in str(err.value)
 
 
 def test_domain_mismatch_rejected(tmp_path):

@@ -156,21 +156,29 @@ def test_sweep_records_a_threshold_that_is_not_finite_as_an_error():
 
 def test_theory_column_ignores_p():
     # the rule is chi/mu against theta0 alone: every p of a (chi, mu) cell
-    # gets one prediction, and the cells straddle the threshold (~0.81)
-    spec = small_spec(chi_values=(0.5, 1.0), mu_values=(0.5, 2.0),
-                      p_values=(0.0, 1.0, 2.0), repeat=1,
-                      base_params=ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0),
-                      base_cfg=StepperConfig(dt_init=1e-3, dt_min=1e-8, dt_max=1e-3,
-                                             t_end=0.01, blowup_threshold=1e6))
-    columns = {}
-    for r in run_sweep(spec, workers=1):
-        assert r.note == ""
-        columns.setdefault((r.chi, r.mu), set()).add(r.theory_prediction)
-    th = {chi: theta0(spec.effective_gamma0(), chi, spec.C_reg)[0]
-          for chi in spec.chi_values}
-    assert columns == {(chi, mu): {classify_theory(chi, mu, th[chi])}
-                       for chi in spec.chi_values for mu in spec.mu_values}
-    assert set.union(*columns.values()) == set(TheoryRegime)
+    # gets one prediction, and the cells straddle the threshold (~0.81 at
+    # the automatic gamma0 = 3 of a 1D grid, ~0.91 at gamma0 = 30)
+    predicted = {}
+    for gamma0 in (None, 30.0):
+        spec = small_spec(chi_values=(0.5, 1.0), mu_values=(0.5, 1.2, 2.0),
+                          p_values=(0.0, 1.0, 2.0), repeat=1, gamma0=gamma0,
+                          base_params=ModelParams(tau=1.0, chi=1.0, mu=1.0, a=1.0),
+                          base_cfg=StepperConfig(dt_init=1e-3, dt_min=1e-8,
+                                                 dt_max=1e-3, t_end=0.01,
+                                                 blowup_threshold=1e6))
+        columns = {}
+        for r in run_sweep(spec, workers=1):
+            assert r.note == ""
+            columns.setdefault((r.chi, r.mu), set()).add(r.theory_prediction)
+        th = {chi: theta0(spec.effective_gamma0(), chi, spec.C_reg)[0]
+              for chi in spec.chi_values}
+        assert columns == {(chi, mu): {classify_theory(chi, mu, th[chi])}
+                           for chi in spec.chi_values for mu in spec.mu_values}
+        assert set.union(*columns.values()) == set(TheoryRegime)
+        predicted[gamma0] = columns
+    # the explicit gamma0 reaches the runs: chi/mu = 1/1.2 crosses its threshold
+    assert [cell for cell in predicted[None]
+            if predicted[None][cell] != predicted[30.0][cell]] == [(1.0, 1.2)]
 
 
 # -------------------------------------------------------------- regime_map

@@ -17,10 +17,12 @@ config, which writes ``records.csv`` and ``regime_map.csv``. Last,
 ``kellerscope run --resume`` continues from its ``final.snap`` to the
 config's ``t_end``; each writes ``series.csv`` and ``final.snap``. The
 configs and the files are written to a temporary directory; nothing in
-either checkout changes. It compares, per run, the bytes of the final
-``u`` and ``v``, the final ``t``, ``steps`` and ``status``, and every field
-of every series row, and the bytes of the six files. It exits 0 when all
-of them agree, and 1 naming the first difference.
+either checkout changes. Last, ``format_config(parse_config(text))`` of
+each of ``CONFIG_TEXTS`` states every config default, including those no
+workload sets. It compares, per run, the bytes of the final ``u`` and
+``v``, the final ``t``, ``steps`` and ``status``, and every field of every
+series row, and the bytes of the six files and the formatted configs. It
+exits 0 when all of them agree, and 1 naming the first difference.
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ from dataclasses import replace
 
 
 FILES = ("sweep records.csv", "sweep regime_map.csv", "run series.csv",
-         "run final.snap", "resume series.csv", "resume final.snap")
+         "run final.snap", "resume series.csv", "resume final.snap",
+         "config format_config")
+# the empty config, and one that sets each enum key to a member other than
+# its default
+CONFIG_TEXTS = ("", "[model]\nphi_family = linear\n[ic]\nname = checkerboard\n")
 RUN_T_END = 0.05   # where the run stops and the resumed run starts
 
 
@@ -111,6 +117,8 @@ def _runs(checkout: str, seed: int) -> dict:
                     with open(path, "rb") as fh:
                         raw = fh.read()
                     files[key] = raw.hex() if key.endswith(".snap") else raw.decode()
+    files["config format_config"] = "".join(format_config(parse_config(text))
+                                            for text in CONFIG_TEXTS)
     return {"runs": out, "files": files}
 
 

@@ -1,21 +1,27 @@
 """Strict key-value run configuration.
 
 Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments, blank
-lines ignored. A key left out takes the default of the field it sets, so
-``ModelParams()``, ``StepperConfig()`` and the other constructors state the
-defaults; unknown sections or keys and duplicated keys are hard errors, and
-every error carries its line number. Lists are comma-separated.
+lines ignored. Each section builds one object (``[model]`` a ModelParams,
+``[stepper]`` a StepperConfig, ...), and each of its keys sets one field of
+it: the field gives the key its name, its place in the section, its type and
+its default, which a key left out takes. Unknown sections or keys and
+duplicated keys are hard errors, and every error carries its line number.
+Lists are comma-separated, booleans are ``on``/``off``, ``auto`` is a
+float key's None and an enum key takes one of its member values.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import inspect
 import math
+import typing
 from dataclasses import dataclass
 
 from .grid import Domain
-from .ic import ICName, ICSpec
-from .model import ModelParams, PhiFamily
+from .ic import ICSpec
+from .model import ModelParams
 from .stepper import StepperConfig
 from .sweep import SweepSpec
 
@@ -38,91 +44,46 @@ class RunConfig:
     out_dir: str = "out"
 
 
-# Schema: section -> key -> parser: a parser name, or the enum class whose
-# member values are the key's choices. format_config writes keys in this order.
-_SCHEMA: dict[str, dict[str, str | type[enum.Enum]]] = {
-    "domain": {
-        "dim": "int",
-        "lengths": "float_list",
-        "cells": "int_list",
-    },
-    "model": {
-        "tau": "float",
-        "chi": "float",
-        "mu": "float",
-        "a": "float",
-        "k": "float",
-        "p": "float",
-        "phi_family": PhiFamily,
-        "reaction": "onoff",
-    },
-    "stepper": {
-        "dt_init": "float",
-        "dt_min": "float",
-        "dt_max": "float",
-        "safety": "float",
-        "blowup_threshold": "float_or_auto",
-        "t_end": "float",
-        "observer_stride": "int",
-        "series_gamma": "float",
-        "stall_patience": "int",
-        "max_steps": "int",
-        "helmholtz_tol": "float",
-        "helmholtz_maxiter": "int",
-    },
-    "ic": {
-        "name": ICName,
-        "amplitude": "float",
-        "width": "float",
-    },
-    "output": {
-        "out_dir": "str",
-    },
-    "sweep": {
-        "chi_values": "float_list",
-        "mu_values": "float_list",
-        "p_values": "float_list",
-        "repeat": "int",
-        "seed": "int",
-        "gamma0": "float_or_auto",
-        "c_reg": "float",
-    },
+def _finite(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError("must be finite")
+    return val
+
+
+def _onoff(text: str) -> bool:
+    low = text.lower()
+    if low not in ("on", "off"):
+        raise ValueError("expected 'on' or 'off'")
+    return low == "on"
+
+
+def _choice(kind: type[enum.Enum], text: str) -> enum.Enum:
+    options = [member.value for member in kind]
+    if text not in options:
+        raise ValueError(f"expected one of {', '.join(options)}")
+    return kind(text)
+
+
+def _list(parse):
+    return lambda text: tuple(parse(part.strip()) for part in text.split(","))
+
+
+# The field types that have a text form, each with its parser; an enum
+# field takes one of its member values.
+_PARSERS = {
+    int: int,
+    str: str,
+    float: _finite,
+    float | None: lambda text: None if text.lower() == "auto" else _finite(text),
+    tuple[float, ...]: _list(_finite),
+    tuple[int, ...]: _list(int),
+    bool: _onoff,
 }
 
 # Config keys whose field has another name; every other key is the name of
 # its field on the object its section builds.
 _RENAMED = {"reaction": "reaction_on", "c_reg": "C_reg"}
-
-
-def _field(key: str) -> str:
-    return _RENAMED.get(key, key)
-
-
-def _parse_value(kind: str | type[enum.Enum], text: str):
-    if kind == "str":
-        return text
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        val = float(text)
-        if not math.isfinite(val):
-            raise ValueError("must be finite")
-        return val
-    if kind == "float_or_auto":
-        return None if text.lower() == "auto" else _parse_value("float", text)
-    if kind == "float_list":
-        return tuple(_parse_value("float", part.strip()) for part in text.split(","))
-    if kind == "int_list":
-        return tuple(int(part.strip()) for part in text.split(","))
-    if kind == "onoff":
-        low = text.lower()
-        if low not in ("on", "off"):
-            raise ValueError("expected 'on' or 'off'")
-        return low == "on"
-    options = [member.value for member in kind]   # an enum class
-    if text not in options:
-        raise ValueError(f"expected one of {', '.join(options)}")
-    return kind(text)
 
 
 def _domain(dim: int = 1, lengths: tuple[float, ...] = (1.0,),
@@ -143,11 +104,39 @@ def _domain(dim: int = 1, lengths: tuple[float, ...] = (1.0,),
     return Domain(lengths, cells)
 
 
+# The object each section builds, in the order format_config writes them.
+_SECTIONS = {"domain": _domain, "model": ModelParams, "stepper": StepperConfig,
+             "ic": ICSpec, "output": RunConfig, "sweep": SweepSpec}
+
+
+def _parser(hint):
+    """The parser of a field type that has a text form, else None."""
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return functools.partial(_choice, hint)
+    return _PARSERS.get(hint)
+
+
+def _keys(ctor) -> dict:
+    """key -> (field, parser) for each parameter of ``ctor`` that has a text
+    form, in signature order; the others (a SweepSpec's domain, ...) are
+    not keys."""
+    hints = typing.get_type_hints(ctor)
+    key_of = {field: key for key, field in _RENAMED.items()}
+    parsers = {name: _parser(hints[name]) for name in inspect.signature(ctor).parameters}
+    return {key_of.get(name, name): (name, parse)
+            for name, parse in parsers.items() if parse is not None}
+
+
+# section -> key -> (field, parser), resolved once
+_SCHEMA = {section: _keys(ctor) for section, ctor in _SECTIONS.items()}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config text; raises ConfigError."""
     problems: list[tuple[int, str]] = []
+    # section -> field -> its value, and the line that set it
     values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
-    lines: dict[tuple[str, str], int] = {}
+    lines: dict[str, dict[str, int]] = {s: {} for s in _SCHEMA}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -170,39 +159,40 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCHEMA[section]:
             problems.append((lineno, f"unknown key '{key}' in section [{section}]"))
             continue
-        if (section, key) in lines:
+        field, parse = _SCHEMA[section][key]
+        if field in lines[section]:
             problems.append(
                 (lineno, f"duplicate key '{key}' in section [{section}] "
-                         f"(first set on line {lines[(section, key)]})"))
+                         f"(first set on line {lines[section][field]})"))
             continue
-        lines[(section, key)] = lineno
+        lines[section][field] = lineno
         try:
-            values[section][key] = _parse_value(_SCHEMA[section][key], val)
+            values[section][field] = parse(val)
         except ValueError as exc:
             problems.append((lineno, f"bad value for '{key}': {exc}"))
     if problems:
         raise ConfigError(problems)
 
-    def build(section: str, ctor, **fixed):
+    def build(section: str, **fixed):
         try:
-            return ctor(**{_field(k): v for k, v in values[section].items()}, **fixed)
+            return _SECTIONS[section](**values[section], **fixed)
         except ValueError as exc:
             # constraint messages start with the offending field name; use it
             # to recover the exact config line when that key was set, else
             # name the last line set in the section (0: none)
             first = str(exc).split()[0] if str(exc) else ""
-            at = {k: lines[(section, k)] for k in values[section]}
-            ln = next((at[k] for k in at if _field(k) == first), max(at.values(), default=0))
+            at = lines[section]
+            ln = at.get(first, max(at.values(), default=0))
             problems.append((ln, f"[{section}] {exc}"))
             return None
 
-    domain = build("domain", _domain)
-    params = build("model", ModelParams)
-    stepper = build("stepper", StepperConfig)
-    ic = build("ic", ICSpec)
+    domain = build("domain")
+    params = build("model")
+    stepper = build("stepper")
+    ic = build("ic")
     # SweepSpec checks only the sweep keys, so their problems are reported
     # even when a section above failed and is passed on as None
-    sweep = build("sweep", SweepSpec, domain=domain, base_params=params,
+    sweep = build("sweep", domain=domain, base_params=params,
                   base_cfg=stepper, ic=ic)
     if problems:
         raise ConfigError(problems)
@@ -240,7 +230,7 @@ def format_config(cfg: RunConfig) -> str:
     out = []
     for section, keys in _SCHEMA.items():
         out.append(f"[{section}]")
-        out.extend(f"{key} = {fmt(getattr(owners[section], _field(key)))}"
-                   for key in keys)
+        out.extend(f"{key} = {fmt(getattr(owners[section], field))}"
+                   for key, (field, _) in keys.items())
         out.append("")
     return "\n".join(out)

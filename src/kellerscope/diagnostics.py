@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Field, integrate, laplacian_neumann
+from .grid import Field, laplacian_neumann
 from .model import ModelParams
 from .stepper import ObserverSample, RunStatus, SimState, StepperConfig
 
@@ -121,20 +121,18 @@ def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
     t_ref = float(times[-1]) if weight_ref_time is None else float(weight_ref_time)
     rate = r / params.tau
 
+    def norm_r(f: Field) -> float:   # ||f||_r^r, the midpoint rule
+        return float(np.sum(np.abs(f.values) ** r)) * d.cell_volume
+
     lhs = 0.0
     den = 0.0
     for (t, u, v), dt in zip(samples, dts):
         w = math.exp(rate * (t - t_ref))
-        lap_v = laplacian_neumann(v, d)
-        lhs += w * integrate(Field(np.abs(lap_v.values) ** r, d), d) * dt
-        den += w * integrate(Field(np.abs(u.values) ** r, d), d) * dt
-    _, v0 = samples[0][0], samples[0][2]
-    lap_v0 = laplacian_neumann(v0, d)
+        lhs += w * norm_r(laplacian_neumann(v, d)) * dt
+        den += w * norm_r(u) * dt
+    v0 = samples[0][2]
     w0 = math.exp(rate * (s0_time - t_ref))
-    den += params.tau * w0 * (
-        integrate(Field(np.abs(v0.values) ** r, d), d)
-        + integrate(Field(np.abs(lap_v0.values) ** r, d), d)
-    )
+    den += params.tau * w0 * (norm_r(v0) + norm_r(laplacian_neumann(v0, d)))
     if den == 0.0:
         if lhs > 0.0:
             raise RuntimeError("zero forcing but nonzero curvature accumulation")

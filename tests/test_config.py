@@ -212,6 +212,11 @@ def test_unknown_key_and_section_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("[modell]\nchi = 1.0\n")
     assert any("unknown section" in msg for _, msg in err.value.problems)
+    # a field whose type has no text form is not a key
+    for section, key in (("sweep", "ic"), ("sweep", "base_cfg"), ("output", "domain")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[{section}]\n{key} = x\n")
+        assert err.value.problems == [(2, f"unknown key '{key}' in section [{section}]")]
 
 
 def test_syntax_error_with_line():
@@ -240,7 +245,13 @@ def test_bad_value_types_reported():
             ("[model]\nphi_family = Linear\n",
              "bad value for 'phi_family': expected one of canonical, linear"),
             ("[ic]\nname = bump\n", "bad value for 'name': expected one of "
-                                     "constant, gaussian_bump, two_bumps, checkerboard")):
+                                     "constant, gaussian_bump, two_bumps, checkerboard"),
+            ("[stepper]\nobserver_stride = 2.5\n", "bad value for 'observer_stride': "
+                                                  "invalid literal for int() with base 10: '2.5'"),
+            ("[domain]\ncells = 8, x\n",
+             "bad value for 'cells': invalid literal for int() with base 10: 'x'"),
+            ("[sweep]\ngamma0 = soon\n",
+             "bad value for 'gamma0': could not convert string to float: 'soon'")):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.problems == [(2, want)]

@@ -58,10 +58,16 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
         assert samebits.compare(a, other) == (
             f"{file_name}: line 5: {lines[4]!r} vs {changed!r}")
     # a changed default, its line in the formatted configs; the second
-    # config writes the enum members it sets
+    # config writes the enum members it sets, and the third differs from the
+    # defaults in every key but phi_family
     configs = files["config format_config"].splitlines(keepends=True)
-    assert len(configs) == 2 * 45   # 34 keys, 6 headers, 5 blank lines each
-    assert {"phi_family = linear\n", "name = checkerboard\n"} <= set(configs[45:])
+    assert len(configs) == 3 * 45   # 34 keys, 6 headers, 5 blank lines each
+    assert {"phi_family = linear\n", "name = checkerboard\n"} <= set(configs[45:90])
+    same = [a for a, b in zip(configs[:45], configs[90:]) if a == b]
+    assert [line for line in same if " = " in line] == ["phi_family = canonical\n"]
+    assert {"cells = 8, 12\n", "lengths = 2.0, 3.0\n", "reaction = off\n",
+            "blowup_threshold = 100000.0\n", "gamma0 = 3.5\n",
+            "out_dir = runs/nested/full\n"} <= set(configs[90:])
     i = configs.index("stall_patience = 50\n")
     other = copy.deepcopy(b)
     other["files"]["config format_config"] = "".join(

@@ -19,7 +19,9 @@ config's ``t_end``; each writes ``series.csv`` and ``final.snap``. The
 configs and the files are written to a temporary directory; nothing in
 either checkout changes. Last, ``format_config(parse_config(text))`` of
 each of ``CONFIG_TEXTS`` states every config default, including those no
-workload sets. It compares, per run, the bytes of the final ``u`` and
+workload sets, and reads back every key set to another value of its type,
+an int list, a float list, ``auto``'s alternative and ``off`` among them.
+It compares, per run, the bytes of the final ``u`` and
 ``v``, the final ``t``, ``steps`` and ``status``, and every field of every
 series row, and the bytes of the six files and the formatted configs. It
 exits 0 when all of them agree, and 1 naming the first difference.
@@ -41,9 +43,52 @@ from dataclasses import replace
 FILES = ("sweep records.csv", "sweep regime_map.csv", "run series.csv",
          "run final.snap", "resume series.csv", "resume final.snap",
          "config format_config")
-# the empty config, and one that sets each enum key to a member other than
-# its default
-CONFIG_TEXTS = ("", "[model]\nphi_family = linear\n[ic]\nname = checkerboard\n")
+# the empty config; one that sets each enum key to a member other than its
+# default; and one that sets every other key of every section to a value
+# other than its default (phi_family stays canonical there, since linear
+# pins p and p_values to 0)
+CONFIG_TEXTS = ("", "[model]\nphi_family = linear\n[ic]\nname = checkerboard\n",
+                """[domain]
+dim = 2
+lengths = 2.0, 3.0
+cells = 8, 12
+[model]
+tau = 0.5
+chi = 2.5
+mu = 1.5
+a = 0.25
+k = 2.0
+p = 1.5
+phi_family = canonical
+reaction = off
+[stepper]
+dt_init = 0.002
+dt_min = 1e-08
+dt_max = 0.05
+safety = 0.5
+blowup_threshold = 100000.0
+t_end = 2.5
+observer_stride = 3
+series_gamma = 4.0
+stall_patience = 7
+max_steps = 12345
+helmholtz_tol = 1e-09
+helmholtz_maxiter = 500
+[ic]
+name = gaussian_bump
+amplitude = 2.0
+width = 0.2
+[output]
+out_dir = runs/nested/full
+[sweep]
+chi_values = 0.5, 1.5, 4.0
+mu_values = 0.25, 2.0
+p_values = 0.0, 1.0
+repeat = 2
+seed = 7
+gamma0 = 3.5
+c_reg = 2.0
+""")
 RUN_T_END = 0.05   # where the run stops and the resumed run starts
 
 

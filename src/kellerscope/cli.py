@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: run (``--resume`` continues a snapshot), sweep, theta0,
-check. Outcome exit codes: 0 bounded / finished, 2 blow-up, 3 undecided or
-stalled; 10 means the command never produced a result (bad usage, bad
-config, IO failure, arithmetic overflow) or that cells of a sweep failed.
+check. Outcome exit codes: 0 bounded / finished, 2 blow-up, 3 undecided
+(DtFloor and MaxSteps runs too); 10 means no result (bad usage, bad config,
+IO failure, arithmetic overflow) or that cells of a sweep failed.
 """
 
 from __future__ import annotations

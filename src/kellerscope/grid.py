@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -104,15 +105,15 @@ class Domain:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(float(x) for x in self.lengths))
-        object.__setattr__(self, "cells", tuple(int(n) for n in self.cells))
         # each message starts with the config key at fault (see config.build)
         if len(self.lengths) != len(self.cells):
             raise ValueError(f"lengths must have one entry per axis of cells, "
                              f"got {len(self.lengths)} for {len(self.cells)}")
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if any(n < 3 for n in self.cells):
-            raise ValueError(f"cells must be at least 3 on every axis, got {self.cells}")
+        if not all(isinstance(n, numbers.Integral) and n >= 3 for n in self.cells):
+            raise ValueError(f"cells must be integers >= 3, got {self.cells}")
+        object.__setattr__(self, "cells", tuple(map(int, self.cells)))
         if any(not (L > 0.0) or not math.isfinite(L) for L in self.lengths):
             raise ValueError(f"lengths must be positive and finite, got {self.lengths}")
         object.__setattr__(self, "_spacing",

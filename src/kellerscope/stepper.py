@@ -4,8 +4,9 @@ One step advances the signal first with backward Euler (the Helmholtz solve
 of :mod:`kellerscope.grid`), then the density explicitly against the fresh
 signal (``model._transport``), with the quadratic sink treated
 semi-implicitly so the update can never produce a negative density on its
-own. Step size comes from explicit stability limits; blow-up is detected,
-never resolved. The spatial operators all live in ``grid`` and ``model``.
+own. A step is taken only within explicit stability limits, or the run
+ends DtFloor; blow-up is detected, never resolved. The spatial operators
+all live in ``grid`` and ``model``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -28,7 +30,8 @@ class RunStatus(str, enum.Enum):
     RUNNING = "Running"
     FINISHED = "Finished"
     BLOWUP = "BlowUp"
-    STALLED_DT = "StalledDt"
+    DT_FLOOR = "DtFloor"     # the dt rule could not make a step stable at dt_min
+    MAX_STEPS = "MaxSteps"   # the state has taken max_steps steps
 
 
 @dataclass(frozen=True)
@@ -39,11 +42,11 @@ class StepperConfig:
     "resolve from the initial data": run() and step() replace it with
     1e6 * max(1, sup u) of the state they are given.
 
-    stall_patience: consecutive steps pinned below dt_min with a growing
-    sup-norm before the run is declared stalled.
+    dt_min: the smallest step. A step the dt rule cannot make stable at or
+    above it is not taken, and the state ends DtFloor.
 
     max_steps: the most steps a state may count (``SimState.steps``); a
-    state that has taken them ends StalledDt without a step.
+    state that has taken them ends MaxSteps without a step.
     """
 
     dt_init: float = 1.0e-3
@@ -54,7 +57,6 @@ class StepperConfig:
     t_end: float = 1.0
     observer_stride: int = 10
     series_gamma: float = 3.0
-    stall_patience: int = 50
     max_steps: int = 5_000_000
     helmholtz_tol: float = 1.0e-10
     helmholtz_maxiter: int = 20_000
@@ -72,10 +74,13 @@ class StepperConfig:
         for name in ("t_end", "helmholtz_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name, low in (("observer_stride", 1), ("series_gamma", 1), ("stall_patience", 1),
-                          ("max_steps", 1), ("helmholtz_maxiter", 0)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # an int bound marks a count, which must be Integral (numpy's are)
+        for name, low in (("observer_stride", 1), ("series_gamma", 1.0), ("max_steps", 1),
+                          ("helmholtz_maxiter", 0)):
+            value, count = getattr(self, name), isinstance(low, int)
+            if not value >= low or count and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be {'an integer ' * count}>= {low}, "
+                                 f"got {value!r}")
 
 
 class _Carry(NamedTuple):
@@ -138,7 +143,6 @@ class SimState:
     v: Field
     steps: int = 0
     status: RunStatus = RunStatus.RUNNING
-    stall_steps: int = 0   # consecutive dt-pinned steps with growing sup-norm
 
     @property
     def domain(self) -> Domain:
@@ -246,9 +250,10 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
 
     Raises ValueError for a state that is not running. A running state at
     ``t_end`` (up to 1e-12 relative) comes back Finished and one that has
-    taken ``max_steps`` steps StalledDt, each as it is; any other whose
+    taken ``max_steps`` steps MaxSteps, each as it is; any other whose
     density has a negative entry raises ValueError, the one validation of
-    the density per step.
+    the density per step, and one whose step the dt rule cannot make stable
+    at ``dt_min`` or above comes back DtFloor, as it is.
     Everything the step reads about the state (the extrema of both fields,
     the signal's gradient and Laplacian) is computed from its arrays on every
     call; only :func:`run_state` carries it from one step to the next. The
@@ -291,7 +296,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     if _finished(state.t, cfg):
         return replace(state, status=RunStatus.FINISHED), old
     if state.steps >= cfg.max_steps:
-        return replace(state, status=RunStatus.STALLED_DT), old
+        return replace(state, status=RunStatus.MAX_STEPS), old
     d = state.domain
     u_old, v_old = state.u.values, state.v.values
     if old.u_min < 0.0:
@@ -310,9 +315,9 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     # The advective CFL must hold against the signal the fluxes will see,
     # which only exists after the implicit solve; re-solve with a smaller
     # dt in the rare steps where the fresh signal steepened past the
-    # margin. Shrinking dt pulls v_new toward v_old, so this settles fast.
-    attempts = 0
-    while True:
+    # margin. Shrinking dt pulls v_new toward v_old, so this settles fast;
+    # five solves stop a shrink that does not.
+    for attempt in range(5):
         rhs = np.multiply(v_old, params.tau / dt, work.rhs)
         rhs += u_old
         try:
@@ -342,14 +347,15 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
             if v_new is not solved:
                 g, lap = _stencil(v_new, d, slot.grad, slot.lap)
             g_max = _face_max(g, work.scratch)
-            # capped at dt: `dt <= dt_pos` and `pinned` need no more
+            # capped at dt: `dt <= dt_pos` and the floor test need no more
             dt_pos = _dt_limit(u_max, g, g_max, params, d, cfg, dt, work.w, work.up)
-        attempts += 1
-        if dt <= dt_pos or dt <= cfg.dt_min or attempts >= 5:
+        if dt <= dt_pos or dt <= cfg.dt_min or attempt == 4:
             break
         dt = max(cfg.dt_min, dt_pos)
-    # stepping outside the provable-positivity region (dt floored at dt_min)
-    pinned = dt > dt_pos * (1.0 + 1e-9)
+    if dt > dt_pos * (1.0 + 1e-9):
+        # no dt the rule allows keeps the density provably nonnegative: the
+        # step is not taken, and neither field nor the carry has changed
+        return replace(state, status=RunStatus.DT_FLOOR), old
 
     w = np.multiply(g, params.chi, work.w)
     flux = _transport(u_old, w, params, d, work.up, work.flux, work.scratch)
@@ -367,32 +373,24 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     else:
         np.multiply(flux, dt, u_raw)
         u_raw += u_old
-    # pinned means out of the stability region: detection mode, where every
-    # negative value is clamped to keep the state usable
-    u_new, u_lo, sup_u_new = _clamp_roundoff(u_raw, math.inf if pinned else 1.0e-13)
+    u_new, u_lo, sup_u_new = _clamp_roundoff(u_raw)
     # a clamp that fired zeroed every negative entry, so the new minimum is 0
     u_extrema = (u_lo, sup_u_new) if u_new is u_raw else (0.0, max(sup_u_new, 0.0))
     v_extrema = (v_lo, v_hi) if v_new is solved else (0.0, max(v_hi, 0.0))
 
     t_new = state.t + dt
     status = RunStatus.RUNNING
-    stall = 0
     if not all(map(math.isfinite, (u_lo, sup_u_new, v_lo, v_hi))):
         status = RunStatus.BLOWUP
     elif sup_u_new > cfg.blowup_threshold:
         status = RunStatus.BLOWUP
-    else:
-        if pinned and sup_u_new > u_max:
-            stall = state.stall_steps + 1
-        if stall >= cfg.stall_patience:
-            status = RunStatus.STALLED_DT
-        elif _finished(t_new, cfg):
-            status = RunStatus.FINISHED
+    elif _finished(t_new, cfg):
+        status = RunStatus.FINISHED
     # built past the dataclass __init__, which costs a few percent of a
     # step on tiny grids; the fields are the same
     new = object.__new__(SimState)
     new.__dict__.update(t=t_new, u=Field._wrap(u_new, d), v=Field._wrap(v_new, d),
-                        steps=state.steps + 1, status=status, stall_steps=stall)
+                        steps=state.steps + 1, status=status)
     return new, _Carry(g, lap, g_max, *u_extrema, *v_extrema)
 
 
@@ -438,8 +436,8 @@ def run(u0: Field, v0: Field, params: ModelParams, cfg: StepperConfig,
     """Step from (u0, v0) at t=0 until the status leaves Running.
 
     The series holds one row for the initial state and one every
-    ``observer_stride`` steps plus the final state; a run that used up
-    ``max_steps`` ends StalledDt in a row of its own, at dt 0. With
+    ``observer_stride`` steps plus the final state; a run that ends DtFloor
+    or MaxSteps, without a step, ends in a row of its own at dt 0. With
     ``capture_fields`` the same sampling instants also keep full (t, u, v)
     copies, which the regularity-constant estimator consumes.
     """

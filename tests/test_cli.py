@@ -82,6 +82,20 @@ def test_run_undecided_exit_three(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_run_above_the_dt_limit_ends_dt_floor_exit_three(tmp_path, capsys):
+    # a fixed dt about 45 times the diffusion limit: no step is taken
+    cfg = write(tmp_path, "[domain]\ncells = 512\n[model]\nphi_family = linear\n"
+                          "a = 1.0\n[stepper]\ndt_init = 1e-4\ndt_min = 1e-4\n"
+                          "dt_max = 1e-4\nt_end = 0.1\n[ic]\nname = gaussian_bump\n"
+                          "amplitude = 0.35\nwidth = 0.15\n")
+    out = str(tmp_path / "o")
+    assert main(["run", "--config", cfg, "--out", out]) == 3
+    assert "status=DtFloor outcome=Undecided t=0 steps=0 " in capsys.readouterr().out
+    rows = read_csv(os.path.join(out, "series.csv"))
+    assert [(float(r["t"]), float(r["dt"]), r["status"]) for r in rows] == [
+        (0.0, 0.0, "Running"), (0.0, 0.0, "DtFloor")]
+
+
 def test_missing_config_exit_ten(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 10
     assert "error" in capsys.readouterr().err

@@ -101,7 +101,6 @@ blowup_threshold = auto
 t_end = 1.0
 observer_stride = 10
 series_gamma = 3.0
-stall_patience = 50
 max_steps = 5000000
 helmholtz_tol = 1e-10
 helmholtz_maxiter = 20000
@@ -127,7 +126,7 @@ c_reg = 1.0
 
 def test_empty_config_formats_to_the_golden_defaults():
     assert format_config(parse_config("")) == DEFAULTS_TEXT
-    assert sum(" = " in line for line in DEFAULTS_TEXT.splitlines()) == 34
+    assert sum(" = " in line for line in DEFAULTS_TEXT.splitlines()) == 33
 
 
 def test_full_config_round_trip():
@@ -157,10 +156,10 @@ def test_constraint_error_names_key_and_line():
                             ("[model]\np = -1\ntau = 1.0\n", 2, "p"),
                             ("[stepper]\ndt_min = 1.0\ndt_max = 2.0\nt_end = 3.0\n",
                              2, "dt_min"),
-                            ("[stepper]\nt_end = 3.0\nstall_patience = 0\n",
-                             3, "stall_patience"),
-                            ("[stepper]\nstall_patience = -2\nt_end = 3.0\n",
-                             2, "stall_patience"),
+                            ("[stepper]\nt_end = 3.0\nobserver_stride = 0\n",
+                             3, "observer_stride"),
+                            ("[stepper]\nobserver_stride = -2\nt_end = 3.0\n",
+                             2, "observer_stride"),
                             ("[stepper]\nt_end = 3.0\nmax_steps = 0\n", 3, "max_steps"),
                             ("[stepper]\nhelmholtz_tol = -1\nt_end = 3.0\n",
                              2, "helmholtz_tol"),
@@ -339,7 +338,6 @@ def run_configs(draw):
         blowup_threshold=draw(st.none() | _ABOVE_ONE), t_end=draw(_POS),
         observer_stride=draw(st.integers(1, 10**6)),
         series_gamma=draw(st.floats(1.0, 1e3)),
-        stall_patience=draw(st.integers(1, 10**4)),
         max_steps=draw(st.integers(1, 10**9)), helmholtz_tol=draw(_POS),
         helmholtz_maxiter=draw(st.integers(1, 10**5)))
     ic = ICSpec(draw(st.sampled_from(ICName)), draw(_NONNEG), draw(_POS))

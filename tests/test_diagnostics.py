@@ -365,9 +365,10 @@ def test_classify_run_spike_above_median_is_undecided():
 
 
 def test_classify_run_stalled_is_undecided():
-    out = classify_run(fake_state(RunStatus.STALLED_DT),
-                       fake_series([1.0] * 10), StepperConfig())
-    assert out is RunOutcome.UNDECIDED
+    # a run stopped by the dt floor or by the step budget did not reach t_end
+    for status in (RunStatus.DT_FLOOR, RunStatus.MAX_STEPS):
+        out = classify_run(fake_state(status), fake_series([1.0] * 10), StepperConfig())
+        assert out is RunOutcome.UNDECIDED
 
 
 def test_classify_run_zero_solution_is_bounded():

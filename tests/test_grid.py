@@ -60,7 +60,8 @@ DOMAINS = [Domain((2.0,), (17,)), Domain((1.0, 1.5), (9, 13))]
 # ------------------------------------------------------------------- Domain
 
 def test_domain_basics():
-    d = Domain((2.0, 3.0), (4, 6))
+    d = Domain((2.0, 3.0), (np.int64(4), 6))   # numpy's integers count too
+    assert d.cells == (4, 6) and type(d.cells[0]) is int
     assert d.dim == 2
     assert d.spacing == (0.5, 0.5)
     assert d.measure == 6.0
@@ -74,6 +75,8 @@ def test_domain_basics():
     ((0.0,), (4,)),            # degenerate extent
     ((-1.0, 1.0), (4, 4)),
     ((1.0, 1.0), (4,)),        # axis count mismatch
+    ((1.0,), (8.7,)),          # a cell count that is not an integer,
+    ((1.0, 1.0), (4, 4.0)),    # even one a float holds exactly
 ])
 def test_domain_rejects_bad_geometry(lengths, cells):
     with pytest.raises(ValueError):

@@ -61,20 +61,20 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
     # config writes the enum members it sets, and the third differs from the
     # defaults in every key but phi_family
     configs = files["config format_config"].splitlines(keepends=True)
-    assert len(configs) == 3 * 45   # 34 keys, 6 headers, 5 blank lines each
-    assert {"phi_family = linear\n", "name = checkerboard\n"} <= set(configs[45:90])
-    same = [a for a, b in zip(configs[:45], configs[90:]) if a == b]
+    assert len(configs) == 3 * 44   # 33 keys, 6 headers, 5 blank lines each
+    assert {"phi_family = linear\n", "name = checkerboard\n"} <= set(configs[44:88])
+    same = [a for a, b in zip(configs[:44], configs[88:]) if a == b]
     assert [line for line in same if " = " in line] == ["phi_family = canonical\n"]
     assert {"cells = 8, 12\n", "lengths = 2.0, 3.0\n", "reaction = off\n",
             "blowup_threshold = 100000.0\n", "gamma0 = 3.5\n",
-            "out_dir = runs/nested/full\n"} <= set(configs[90:])
-    i = configs.index("stall_patience = 50\n")
+            "out_dir = runs/nested/full\n"} <= set(configs[88:])
+    i = configs.index("max_steps = 5000000\n")
     other = copy.deepcopy(b)
     other["files"]["config format_config"] = "".join(
-        configs[:i] + ["stall_patience = 51\n"] + configs[i + 1:])
+        configs[:i] + ["max_steps = 5000001\n"] + configs[i + 1:])
     assert samebits.compare(a, other) == (
-        f"config format_config: line {i + 1}: 'stall_patience = 50\\n' "
-        f"vs 'stall_patience = 51\\n'")
+        f"config format_config: line {i + 1}: 'max_steps = 5000000\\n' "
+        f"vs 'max_steps = 5000001\\n'")
     # and a missing one, the end of its file
     other = copy.deepcopy(b)
     other["files"]["resume series.csv"] = "".join(

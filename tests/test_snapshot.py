@@ -152,8 +152,8 @@ def write_raw(path, header, payload=b""):
     "t=0x1p99999 steps=0",   # too large for a double
 ])
 def test_impossible_clock_rejected(tmp_path, clock):
-    # such a header used to resume: t=nan ran to max_steps and ended
-    # StalledDt, t=inf ended Finished without a step
+    # such a header would otherwise resume: t=nan would run to max_steps
+    # and end MaxSteps, t=inf would end Finished without a step
     d = Domain((1.0,), (8,))
     path = tmp_path / "s.snap"
     write_raw(path, f"KSSNAP1 dim=1 nx=8 ny=1 {clock}\n", b"\0" * (2 * 8 * 8))

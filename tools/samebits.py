@@ -70,7 +70,6 @@ blowup_threshold = 100000.0
 t_end = 2.5
 observer_stride = 3
 series_gamma = 4.0
-stall_patience = 7
 max_steps = 12345
 helmholtz_tol = 1e-09
 helmholtz_maxiter = 500

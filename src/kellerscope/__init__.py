@@ -1,8 +1,8 @@
 """Finite-volume simulator and theory diagnostics for chemotaxis with
 logistic growth on boxes with zero-flux walls."""
 
-from .diagnostics import (RunOutcome, TheoryRegime, c2_constant, classify_run,
-                          classify_theory, estimate_c_reg, mu_threshold, theta0)
+from .diagnostics import (C2, RunOutcome, TheoryRegime, classify_run, classify_theory,
+                          estimate_c_reg, mu_threshold, theta0)
 from .grid import (Domain, Field, GridShapeError, HelmholtzError, chemotactic_divergence,
                    integrate, laplacian_neumann, lgamma_norm, solve_helmholtz)
 from .ic import ICName, ICSpec, build_ic
@@ -22,7 +22,7 @@ __all__ = [
     "StepperConfig", "SimState", "RunStatus", "RunResult", "ObserverSample",
     "HelmholtzError", "solve_helmholtz", "stable_dt", "step", "run", "run_state",
     "TheoryRegime", "RunOutcome",
-    "c2_constant", "mu_threshold", "theta0", "estimate_c_reg",
+    "C2", "mu_threshold", "theta0", "estimate_c_reg",
     "classify_theory", "classify_run",
     "ICName", "ICSpec", "build_ic",
     "SweepSpec", "RunRecord", "RegimeMap", "run_sweep", "regime_map",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: run (``--resume`` continues a snapshot), sweep, theta0,
-check. Outcome exit codes: 0 bounded / finished, 2 blow-up, 3 undecided
+Subcommands: run (``--resume`` continues a snapshot), sweep (``--workers``,
+default 1, the only source of its worker count), theta0, and check (no
+options). Outcome exit codes: 0 bounded / finished, 2 blow-up, 3 undecided
 (DtFloor and MaxSteps runs too); 10 means no result (bad usage, bad config,
 IO failure, arithmetic overflow) or that cells of a sweep failed.
 """
@@ -17,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
-from .diagnostics import RunOutcome, c2_constant, classify_run, mu_threshold, theta0
+from .diagnostics import RunOutcome, classify_run, mu_threshold, theta0
 from .grid import (Domain, Field, HelmholtzError, chemotactic_divergence, integrate,
                    laplacian_neumann, solve_helmholtz)
 from .ic import ICSpec, build_ic
@@ -146,7 +147,7 @@ def cmd_theta0(gamma0: float, chi: float, c_reg: float) -> int:
     return EXIT_OK
 
 
-def cmd_check(cfg: RunConfig | None = None) -> int:
+def cmd_check() -> int:
     """Self-test battery over operator and stepping invariants.
 
     Prints one line per check; exits 10 with an ``error:`` line if any
@@ -190,7 +191,6 @@ def cmd_check(cfg: RunConfig | None = None) -> int:
                     np.max(np.abs(state.v.values - v_star)))
         record(f"steady state preserved ({tag})", drift <= 1e-10,
                f"drift={drift:.2e}")
-    record("c2 constant", c2_constant() == 0.25)
     worst = ""
     for _ in range(5):
         gamma0, chi, c_reg = (1.0 + 10.0 ** rng.uniform(-0.5, 1.0),
@@ -201,8 +201,7 @@ def cmd_check(cfg: RunConfig | None = None) -> int:
             worst = f"theta0({gamma0!r}, {chi!r}, {c_reg!r}) = {th!r}: mu_threshold {h!r}"
     record("theta0 closed form is the minimum", not worst, worst)
     d = domains[0]
-    ic = cfg.ic if cfg is not None else ICSpec("gaussian_bump", 1.5, 0.2)
-    u0, v0 = build_ic(ic, d)
+    u0, v0 = build_ic(ICSpec("gaussian_bump", 1.5, 0.2), d)
     cfg_s = StepperConfig(dt_max=1e-3, t_end=0.2, blowup_threshold=1e6)
     result = run(u0, v0, params, cfg_s)
     m0 = result.series[0].mass
@@ -235,27 +234,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("run", help="integrate one configuration")).add_argument(
         "--resume", help="snapshot file to continue from")
     add_common(sub.add_parser("sweep", help="map a (chi, mu, p) grid")).add_argument(
-        "--workers", type=int, default=None,
-        help="worker process count (default: KELLERSCOPE_WORKERS or 1)")
+        "--workers", type=int, default=1, help="worker process count (default: 1)")
     p_theta = sub.add_parser("theta0", help="print the boundedness threshold "
                                             "as a CSV row")
     p_theta.add_argument("gamma0", type=float)
     p_theta.add_argument("chi", type=float)
     p_theta.add_argument("c_reg", type=float)
-    sub.add_parser("check", help="run the invariant self-tests").add_argument(
-        "--config", help="path to a run configuration file")
+    sub.add_parser("check", help="run the invariant self-tests")
     return parser
-
-
-def _workers_from(args) -> int:
-    """--workers, else KELLERSCOPE_WORKERS, else 1; run_sweep checks the count."""
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("KELLERSCOPE_WORKERS", "")
-    try:
-        return int(env) if env else 1
-    except ValueError as exc:
-        raise _CliError(f"bad KELLERSCOPE_WORKERS={env!r}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -268,10 +254,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "theta0":
             return cmd_theta0(args.gamma0, args.chi, args.c_reg)
         if args.command == "check":
-            return cmd_check(_load_config(args.config) if args.config else None)
+            return cmd_check()
         cfg = _load_config(args.config)
         if args.command == "sweep":
-            return cmd_sweep(cfg, _workers_from(args), args.out)
+            return cmd_sweep(cfg, args.workers, args.out)
         return cmd_run(cfg, args.out, args.resume)
     except (_CliError, ValueError, ArithmeticError, HelmholtzError) as exc:
         print(f"error: {exc}", file=sys.stderr)

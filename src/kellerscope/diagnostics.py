@@ -5,8 +5,7 @@ The boundedness threshold theta0 is the closed-form minimum of
 
     h(eta) = eta + c2 * C * eta**(-gamma0) * chi**(gamma0 + 1)
 
-over eta > 0, where c2 is a universal constant (the supremum of
-(1/g)(1+1/g)**(-(g+1)) over g > 1, equal to 1/4) and C is the maximal
+over eta > 0, where c2 is the universal constant ``C2`` and C is the maximal
 space-time regularity constant of the signal equation. C is not available
 analytically; it is either supplied by the user or estimated empirically
 from a simulated trajectory.
@@ -21,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .grid import Field, laplacian_neumann
-from .model import ModelParams
 from .stepper import ObserverSample, RunStatus, SimState, StepperConfig
 
 
@@ -36,13 +34,10 @@ class RunOutcome(str, enum.Enum):
     UNDECIDED = "Undecided"
 
 
-def c2_constant() -> float:
-    """Supremum over g > 1 of (1/g)(1 + 1/g)**(-(g+1)).
-
-    The map is strictly decreasing on (1, inf), so the supremum is its
-    limit at g -> 1+, exactly 1/4.
-    """
-    return 0.25
+# c2: the supremum over g > 1 of (1/g)(1 + 1/g)**(-(g+1)). The map is
+# strictly decreasing on (1, inf), so the supremum is its limit at g -> 1+,
+# exactly 1/4.
+C2 = 0.25
 
 
 def mu_threshold(gamma: float, eta: float, chi: float, C_reg: float) -> float:
@@ -54,7 +49,7 @@ def mu_threshold(gamma: float, eta: float, chi: float, C_reg: float) -> float:
     for name, val in (("eta", eta), ("chi", chi), ("C_reg", C_reg)):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive, got {val}")
-    return eta + c2_constant() * C_reg * chi * (chi / eta)**gamma
+    return eta + C2 * C_reg * chi * (chi / eta)**gamma
 
 
 def theta0(gamma0: float, chi: float, C_reg: float) -> tuple[float, float]:
@@ -74,7 +69,7 @@ def theta0(gamma0: float, chi: float, C_reg: float) -> tuple[float, float]:
             raise ValueError(f"{name} must be positive, got {val}")
     if not 1.0 < gamma0 < math.inf:
         raise ValueError(f"gamma0 must be finite and exceed 1, got {gamma0}")
-    eta_star = (gamma0 * c2_constant() * C_reg) ** (1.0 / (gamma0 + 1.0)) * chi
+    eta_star = (gamma0 * C2 * C_reg) ** (1.0 / (gamma0 + 1.0)) * chi
     h_star = eta_star * (1.0 + 1.0 / gamma0)
     if not (math.isfinite(eta_star) and math.isfinite(h_star)):
         raise ValueError(f"threshold not finite at gamma0={gamma0!r}, chi={chi!r}, "
@@ -83,13 +78,12 @@ def theta0(gamma0: float, chi: float, C_reg: float) -> tuple[float, float]:
 
 
 def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
-                   params: ModelParams, s0_time: float,
-                   weight_ref_time: float | None = None) -> float:
+                   tau: float) -> float:
     """Empirical lower bound on the maximal regularity constant.
 
-    From trajectory samples (t, u, v) at strictly increasing times starting
-    at ``s0_time``, accumulates the exponentially weighted space-time
-    integrals
+    From trajectory samples (t, u, v) at strictly increasing times s0 = t_0
+    < ... < t_n = T, with ``tau`` the signal's relaxation time, accumulates
+    the exponentially weighted space-time integrals
 
         LHS = sum_i e^{(r/tau)(t_i - T)} * integral(|lap v|^r) * dt_i
         DEN = sum_i e^{(r/tau)(t_i - T)} * integral(u^r) * dt_i
@@ -99,13 +93,14 @@ def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
     ``dt_i = t_{i+1} - t_i``, and the last one by the interval before it, so
     uniform spacing dt gives every sample the weight dt; the uneven sample
     times of an adaptive-dt run (one sample every few steps) need no
-    resampling. The exponential weights are referenced to the final time T
-    so the common factor e^{(r/tau) T} cancels instead of overflowing; any
-    other reference time gives the identical ratio (``weight_ref_time``
-    exists to let callers verify exactly that).
+    resampling. The exponential weights are referenced to the final time T,
+    so the common factor e^{(r/tau) T} cancels instead of overflowing, and
+    shifting every sample time by the same amount leaves the ratio as it is.
     """
     if not r > 1.0:
         raise ValueError(f"r must exceed 1, got {r}")
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to integrate in time")
     times = np.array([s[0] for s in samples], dtype=np.float64)
@@ -113,13 +108,10 @@ def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
     if not np.all(dts > 0.0):
         raise ValueError("sample times must be strictly increasing")
     dts = np.append(dts, dts[-1]).tolist()
-    if abs(times[0] - s0_time) > 1.0e-9 * max(1.0, abs(times[-1])):
-        raise ValueError(
-            f"first sample at t={times[0]} does not match s0_time={s0_time}"
-        )
-    d = samples[0][1].domain
-    t_ref = float(times[-1]) if weight_ref_time is None else float(weight_ref_time)
-    rate = r / params.tau
+    s0, u0, v0 = samples[0]
+    d = u0.domain
+    t_ref = float(times[-1])
+    rate = r / tau
 
     def norm_r(f: Field) -> float:   # ||f||_r^r, the midpoint rule
         return float(np.sum(np.abs(f.values) ** r)) * d.cell_volume
@@ -130,9 +122,8 @@ def estimate_c_reg(samples: Sequence[tuple[float, Field, Field]], r: float,
         w = math.exp(rate * (t - t_ref))
         lhs += w * norm_r(laplacian_neumann(v, d)) * dt
         den += w * norm_r(u) * dt
-    v0 = samples[0][2]
-    w0 = math.exp(rate * (s0_time - t_ref))
-    den += params.tau * w0 * (norm_r(v0) + norm_r(laplacian_neumann(v0, d)))
+    w0 = math.exp(rate * (s0 - t_ref))
+    den += tau * w0 * (norm_r(v0) + norm_r(laplacian_neumann(v0, d)))
     if den == 0.0:
         if lhs > 0.0:
             raise RuntimeError("zero forcing but nonzero curvature accumulation")

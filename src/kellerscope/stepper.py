@@ -309,6 +309,13 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     if state.steps == 0:
         dt = min(dt, cfg.dt_init)
     dt = min(dt, cfg.t_end - state.t)
+    # a limit below dt_min leaves dt at the smallest the step may take. No
+    # signal lowers the density's diffusion and reaction rates, the limit at
+    # zero face maxima: when they alone forbid dt, no solve is made
+    if dt_pre < cfg.dt_min and dt > _dt_limit(
+            u_max, old.grad, [0.0] * d.dim, params, d, cfg, dt, work.w,
+            work.up) * (1.0 + 1e-9):
+        return replace(state, status=RunStatus.DT_FLOOR), old
     # a signal the solve leaves where it was keeps its stencil in its slot
     slot = work.signal[old.grad is work.signal[0].grad]
 

@@ -63,11 +63,6 @@ class SweepSpec:
         if not self.C_reg > 0.0:
             raise ValueError(f"C_reg must be positive, got {self.C_reg}")
 
-    @property
-    def run_count(self) -> int:
-        return (len(self.chi_values) * len(self.mu_values)
-                * len(self.p_values) * self.repeat)
-
     def effective_gamma0(self) -> float:
         if self.gamma0 is not None:
             return self.gamma0
@@ -122,10 +117,6 @@ class _Task:
     spec: SweepSpec
 
 
-def _cell_params(spec: SweepSpec, chi: float, mu: float, p: float) -> ModelParams:
-    return replace(spec.base_params, chi=chi, mu=mu, p=p)
-
-
 def _execute(task: _Task) -> RunRecord:
     spec = task.spec
     prediction = TheoryRegime.CRITICAL_UNDETERMINED
@@ -134,7 +125,7 @@ def _execute(task: _Task) -> RunRecord:
         # a threshold that is not finite (chi = C_reg = 1e300) is an error cell
         theta_est, _ = theta0(spec.effective_gamma0(), task.chi, spec.C_reg)
         prediction = classify_theory(task.chi, task.mu, theta_est)
-        params = _cell_params(spec, task.chi, task.mu, task.p)
+        params = replace(spec.base_params, chi=task.chi, mu=task.mu, p=task.p)
         rng = np.random.default_rng([spec.seed, task.index])
         perturbation = REPLICA_PERTURBATION if task.replica > 0 else 0.0
         u0, v0 = build_ic(spec.ic, spec.domain, rng, perturbation)

@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from kellerscope import (Domain, Field, ModelParams, RunOutcome, RunStatus,
-                         StepperConfig, c2_constant, estimate_c_reg, integrate,
+                         StepperConfig, C2, estimate_c_reg, integrate,
                          lgamma_norm, mu_threshold, run, theta0)
 from kellerscope.cli import main
 from kellerscope.diagnostics import classify_run
@@ -214,7 +214,7 @@ def test_criterion_6_explicit_constants(capsys):
         g = 1.0 + np.arange(1, 4_990_001, dtype=np.float64) * 1e-4
         f = (1.0 / g) * (1.0 + 1.0 / g) ** (-(g + 1.0))
         scan = max(float(f.max()), 0.25)   # supremum attained at g -> 1+
-        assert abs(c2_constant() - scan) <= 1e-6
+        assert abs(C2 - scan) <= 1e-6
         assert np.all(np.diff(f[:10_000]) < 0.0)
 
         rng = np.random.default_rng(6)
@@ -384,11 +384,11 @@ def test_criterion_11_regularity_constant_estimator():
         p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.5)
         zero = Field.constant(d, 0.0)
         zeros = [(0.1 * i, zero, zero) for i in range(4)]
-        assert estimate_c_reg(zeros, 2.0, p, 0.0) == 0.0
+        assert estimate_c_reg(zeros, 2.0, p.tau) == 0.0
         u_star = p.a / p.mu
         const = Field.constant(d, u_star)
         steady = [(0.1 * i, const, const) for i in range(4)]
-        assert estimate_c_reg(steady, 2.0, p, 0.0) == 0.0
+        assert estimate_c_reg(steady, 2.0, p.tau) == 0.0
 
         p_run = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.5, k=1.0,
                             phi_family="linear")
@@ -404,13 +404,10 @@ def test_criterion_11_regularity_constant_estimator():
             return res.snapshots
 
         snaps48 = ratio(48)
-        r48 = estimate_c_reg(snaps48, 2.0, p_run, snaps48[0][0])
+        r48 = estimate_c_reg(snaps48, 2.0, p_run.tau)
         snaps96 = ratio(96)
-        r96 = estimate_c_reg(snaps96, 2.0, p_run, snaps96[0][0])
+        r96 = estimate_c_reg(snaps96, 2.0, p_run.tau)
         assert 0.0 < r48 < math.inf
         # golden from the first recorded run of this fixed instance
         assert r48 == pytest.approx(0.002757497073227674, rel=1e-6)
         assert abs(r96 - r48) <= 0.20 * abs(r96), (r48, r96)
-        shifted = estimate_c_reg(snaps48, 2.0, p_run, snaps48[0][0],
-                                 weight_ref_time=0.0)
-        assert shifted == pytest.approx(r48, rel=1e-12)

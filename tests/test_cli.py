@@ -96,6 +96,23 @@ def test_run_above_the_dt_limit_ends_dt_floor_exit_three(tmp_path, capsys):
         (0.0, 0.0, "Running"), (0.0, 0.0, "DtFloor")]
 
 
+@pytest.mark.parametrize("tau", [10.0, 1.0])
+def test_diffusion_alone_above_dt_min_ends_dt_floor_before_the_solve(tmp_path, capsys,
+                                                                     tau):
+    # dt = 1 on 197 cells of a 0.05 box: diffusion alone caps dt near 3e-8,
+    # and the signal solve at dt = 1 would miss its residual target
+    cfg = write(tmp_path, f"[domain]\nlengths = 0.05\ncells = 197\n[model]\n"
+                          f"tau = {tau}\n[stepper]\ndt_init = 1\ndt_min = 1\n"
+                          "dt_max = 1\nt_end = 2\n[ic]\nname = gaussian_bump\n"
+                          "amplitude = 1.0\nwidth = 0.01\n")
+    out = str(tmp_path / "o")
+    assert main(["run", "--config", cfg, "--out", out]) == 3
+    assert "status=DtFloor outcome=Undecided t=0 steps=0 " in capsys.readouterr().out
+    rows = read_csv(os.path.join(out, "series.csv"))
+    assert [(float(r["t"]), float(r["dt"]), r["status"]) for r in rows] == [
+        (0.0, 0.0, "Running"), (0.0, 0.0, "DtFloor")]
+
+
 def test_missing_config_exit_ten(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 10
     assert "error" in capsys.readouterr().err
@@ -158,12 +175,16 @@ def test_check_passes(capsys):
 
 
 def test_failed_check_exits_ten(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "c2_constant", lambda: 0.3)
+    def missed(rhs, alpha, d):
+        raise kellerscope.HelmholtzError("missed its target", 1e-3)
+
+    monkeypatch.setattr(cli, "solve_helmholtz", missed)
     assert main(["check"]) == 10
     out, err = capsys.readouterr()
     n = sum(line.startswith(("ok  ", "FAIL")) for line in out.splitlines())
-    assert "FAIL c2 constant" in out
-    assert err.strip() == f"error: 1 of {n} checks failed"
+    for tag in ("1d", "2d"):
+        assert f"FAIL helmholtz residual ({tag}): missed its target" in out
+    assert err.strip() == f"error: 2 of {n} checks failed"
 
 
 def test_check_fails_a_theta0_off_its_closed_form(monkeypatch, capsys):
@@ -183,6 +204,13 @@ def test_check_fails_a_theta0_off_its_closed_form(monkeypatch, capsys):
 def test_check_rejects_out(capsys):
     assert main(["check", "--out", "/nonexistent/x"]) == 10
     assert "unrecognized arguments: --out" in capsys.readouterr().err
+
+
+def test_check_takes_no_config(tmp_path, capsys):
+    # the battery's short run uses its own bump, so a config has nothing to set
+    cfg = write(tmp_path, STEADY_CONFIG)
+    assert main(["check", "--config", cfg]) == 10
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_sweep_writes_records_and_regime_map(tmp_path, capsys):
@@ -292,21 +320,24 @@ assert "scipy" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
-def test_workers_env_variable(tmp_path, monkeypatch):
+def test_workers_default_to_one_whatever_the_environment(tmp_path, monkeypatch):
+    # --workers is the one source of the count: no variable sets it
     text = STEADY_CONFIG + "\n[sweep]\nchi_values = 0.5\nmu_values = 2.0\n"
     cfg = write(tmp_path, text)
-    monkeypatch.setenv("KELLERSCOPE_WORKERS", "2")
+    monkeypatch.setenv("KELLERSCOPE_WORKERS", "0")
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda spec, workers: seen.append(workers) or [])
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert seen == [1]
 
 
-@pytest.mark.parametrize("flag, env", [(["--workers", "0"], "2"), ([], "0")])
-def test_zero_workers_exit_ten(tmp_path, monkeypatch, capsys, flag, env):
-    # neither a zero flag nor a zero variable falls back to another count
+def test_zero_workers_exit_ten(tmp_path, capsys):
+    # a zero count is taken as given, and refused before anything is written
     text = STEADY_CONFIG + "\n[sweep]\nchi_values = 0.5\nmu_values = 2.0\n"
     cfg = write(tmp_path, text)
-    monkeypatch.setenv("KELLERSCOPE_WORKERS", env)
     out = tmp_path / "o"
-    assert main(["sweep", "--config", cfg, "--out", str(out), *flag]) == 10
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", "0"]) == 10
     assert "workers must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 

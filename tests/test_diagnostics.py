@@ -11,7 +11,7 @@ from scipy.optimize import minimize_scalar
 
 from kellerscope import (Domain, Field, ModelParams, RunOutcome, RunStatus,
                          SimState, StepperConfig, TheoryRegime,
-                         c2_constant, classify_run, classify_theory,
+                         C2, classify_run, classify_theory,
                          estimate_c_reg, lgamma_norm, mu_threshold, run, theta0)
 from kellerscope.ic import ICSpec, build_ic
 from kellerscope.stepper import ObserverSample
@@ -72,21 +72,21 @@ def test_lgamma_norm_monotone_in_gamma_on_probability_domain():
         assert all(a <= b * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
 
-# -------------------------------------------------------------- c2_constant
+# ----------------------------------------------------------------------- C2
 
 def test_c2_value_against_grid_scan():
     # scan of (1/g)(1+1/g)^-(g+1) on (1, 500] plus the g->1+ limit
     g = 1.0 + np.arange(1, 4_990_001) * 1e-4
     f = (1.0 / g) * (1.0 + 1.0 / g) ** (-(g + 1.0))
     scan_sup = max(float(f.max()), 0.25)  # limit value at g -> 1+
-    assert abs(c2_constant() - scan_sup) <= 1e-6
+    assert abs(C2 - scan_sup) <= 1e-6
     assert np.all(np.diff(f) < 0.0)  # strictly decreasing on the scan
 
 
 def test_c2_sanity_points():
     g = 2.0
     assert (1 / g) * (1 + 1 / g) ** (-(g + 1)) == pytest.approx(4.0 / 27.0)
-    assert 4.0 / 27.0 < c2_constant()
+    assert 4.0 / 27.0 < C2
     g = 100.0
     assert (1 / g) * (1 + 1 / g) ** (-(g + 1)) < 0.004
 
@@ -181,7 +181,7 @@ def test_estimate_c_reg_zero_solution():
     p = ModelParams(tau=1.0, chi=1.0, mu=1.0)
     zero = Field.constant(d, 0.0)
     samples = make_samples([(zero, zero)] * 4, 0.1)
-    assert estimate_c_reg(samples, 2.0, p, 0.0) == 0.0
+    assert estimate_c_reg(samples, 2.0, p.tau) == 0.0
 
 
 def test_estimate_c_reg_steady_state_is_zero():
@@ -189,7 +189,7 @@ def test_estimate_c_reg_steady_state_is_zero():
     p = ModelParams(tau=1.0, chi=1.0, mu=2.0, a=1.0)
     const = Field.constant(d, 0.5)
     samples = make_samples([(const, const)] * 5, 0.05, t0=0.2)
-    assert estimate_c_reg(samples, 2.0, p, 0.2) == 0.0
+    assert estimate_c_reg(samples, 2.0, p.tau) == 0.0
 
 
 def test_estimate_c_reg_requires_two_samples_and_increasing_times():
@@ -197,14 +197,14 @@ def test_estimate_c_reg_requires_two_samples_and_increasing_times():
     p = ModelParams(tau=1.0, chi=1.0, mu=1.0)
     f = Field.constant(d, 1.0)
     with pytest.raises(ValueError):
-        estimate_c_reg([(0.0, f, f)], 2.0, p, 0.0)
+        estimate_c_reg([(0.0, f, f)], 2.0, p.tau)
     for times in ((0.0, 0.1, 0.1), (0.0, 0.2, 0.1)):
         with pytest.raises(ValueError):
-            estimate_c_reg([(t, f, f) for t in times], 2.0, p, 0.0)
+            estimate_c_reg([(t, f, f) for t in times], 2.0, p.tau)
     with pytest.raises(ValueError):
-        estimate_c_reg([(0.0, f, f), (0.1, f, f)], 1.0, p, 0.0)
-    with pytest.raises(ValueError, match="does not match s0_time"):
-        estimate_c_reg([(0.0, f, f), (0.1, f, f)], 2.0, p, 0.05)
+        estimate_c_reg([(0.0, f, f), (0.1, f, f)], 1.0, p.tau)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        estimate_c_reg([(0.0, f, f), (0.1, f, f)], 2.0, 0.0)
 
 
 def test_estimate_c_reg_weights_each_sample_by_its_interval():
@@ -217,7 +217,7 @@ def test_estimate_c_reg_weights_each_sample_by_its_interval():
     samples = [(t, u, v) for t in (0.0, 0.1, 0.3)]
     s = sum(math.exp(2.0 * (t - 0.3)) * w for t, w in ((0.0, 0.1), (0.1, 0.2), (0.3, 0.2)))
     want = 6.0 * s / (3.0 * s + math.exp(-0.6) * (1.0 + 6.0))
-    assert estimate_c_reg(samples, 2.0, p, 0.0) == pytest.approx(want, rel=1e-12)
+    assert estimate_c_reg(samples, 2.0, p.tau) == pytest.approx(want, rel=1e-12)
 
 
 def test_estimate_c_reg_accepts_adaptive_dt_run():
@@ -230,10 +230,8 @@ def test_estimate_c_reg_accepts_adaptive_dt_run():
     assert res.final.steps >= 200
     gaps = np.diff([t for t, _, _ in res.snapshots])
     assert gaps.max() > 1.1 * gaps.min()     # sampled at uneven times
-    r = estimate_c_reg(res.snapshots, 2.0, p, 0.0)
+    r = estimate_c_reg(res.snapshots, 2.0, p.tau)
     assert 0.0 < r < math.inf
-    shifted = estimate_c_reg(res.snapshots, 2.0, p, 0.0, weight_ref_time=0.0)
-    assert shifted == pytest.approx(r, rel=1e-12)
 
 
 def test_estimate_c_reg_zero_forcing_inconsistency():
@@ -245,22 +243,26 @@ def test_estimate_c_reg_zero_forcing_inconsistency():
     bump = Field(np.array([0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0]), d)
     samples = [(0.0, zero, zero), (0.1, zero, bump)]
     with pytest.raises(RuntimeError):
-        estimate_c_reg(samples, 2.0, p, 0.0)
+        estimate_c_reg(samples, 2.0, p.tau)
 
 
-def test_estimate_c_reg_weight_shift_invariance():
-    d = Domain((1.0,), (24,))
-    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.5)
-    u0, v0 = build_ic(ICSpec("gaussian_bump", 1.0, 0.12), d)
-    dt = 2e-4
+def test_estimate_c_reg_is_invariant_to_a_shift_of_every_time():
+    # criterion 11's 48-cell trajectory, shifted to t = 1e3, where a weight
+    # e^{(r/tau) t} not referenced to the last sample overflows a double
+    d = Domain((1.0,), (48,))
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.5, k=1.0, phi_family="linear")
+    u0, v0 = build_ic(ICSpec("gaussian_bump", 2.0, 0.08), d)
+    dt = 2e-5
     cfg = StepperConfig(dt_init=dt, dt_min=dt, dt_max=dt, t_end=0.05,
-                        observer_stride=25, blowup_threshold=1e6)
-    res = run(u0, v0, p, cfg, capture_fields=True)
-    s0 = res.snapshots[0][0]
-    base = estimate_c_reg(res.snapshots, 2.0, p, s0)
-    shifted = estimate_c_reg(res.snapshots, 2.0, p, s0, weight_ref_time=s0)
-    assert base > 0.0 and math.isfinite(base)
-    assert shifted == pytest.approx(base, rel=1e-12)
+                        observer_stride=50, blowup_threshold=1e6)
+    snaps = run(u0, v0, p, cfg, capture_fields=True).snapshots
+    late = [(t + 1e3, u, v) for t, u, v in snaps]
+    with pytest.raises(OverflowError):
+        math.exp(2.0 / p.tau * late[0][0])
+    base = estimate_c_reg(snaps, 2.0, p.tau)
+    shifted = estimate_c_reg(late, 2.0, p.tau)
+    assert base > 0.0 and math.isfinite(shifted)
+    assert shifted == pytest.approx(base, rel=1e-9)
 
 
 def test_estimate_c_reg_positive_on_bump_run():
@@ -271,7 +273,7 @@ def test_estimate_c_reg_positive_on_bump_run():
     cfg = StepperConfig(dt_init=dt, dt_min=dt, dt_max=dt, t_end=0.02,
                         observer_stride=20, blowup_threshold=1e6)
     res = run(u0, v0, p, cfg, capture_fields=True)
-    ratio = estimate_c_reg(res.snapshots, 2.0, p, 0.0)
+    ratio = estimate_c_reg(res.snapshots, 2.0, p.tau)
     assert 0.0 < ratio < math.inf
 
 

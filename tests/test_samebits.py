@@ -22,20 +22,25 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
     assert samebits.compare(a, b) is None
     # tiny-fixed-dt's 4 runs, damped-2d's 2, sweep-2w's 12 cells and the
     # 3 slice-path runs; then the sweep's two files, a header and 12 rows
-    # each, and the series and 64x64 snapshot of the run and of its resume
+    # each, the series and 64x64 snapshot of the run and of its resume, and
+    # one theta0 row per argument triple
     runs = a["runs"]
     assert len(runs) == 21 and all(r["series"] for r in runs.values())
     files = a["files"]
     assert list(files) == list(samebits.FILES) == [
         "sweep records.csv", "sweep regime_map.csv", "run series.csv",
         "run final.snap", "resume series.csv", "resume final.snap",
-        "config format_config"]
+        "theta0 stdout", "config format_config"]
     assert [len(files[f"sweep {name}"].splitlines())
             for name in ("records.csv", "regime_map.csv")] == [13, 13]
     for command in ("run", "resume"):
         assert len(files[f"{command} series.csv"].splitlines()) > 2
         assert len(files[f"{command} final.snap"]) == 2 * (64 + 2 * 64 * 64 * 8)
     assert files["run final.snap"] != files["resume final.snap"]
+    rows = files["theta0 stdout"].splitlines()
+    assert len(rows) == len(samebits.THETA0_ROWS) == 3
+    assert [row.split(",")[:3] for row in rows] == [
+        ["3", "1", "2"], ["4", "0.5", "1"], ["2.5", "15", "0.001"]]
 
     name = list(runs)[-1]
     for key, edit, message in (

@@ -15,7 +15,8 @@ on 1100 cells. Then ``kellerscope sweep --workers 1`` runs sweep-2w's
 config, which writes ``records.csv`` and ``regime_map.csv``. Last,
 ``kellerscope run`` takes damped-2d's 64 x 64 config to t = 0.05, and
 ``kellerscope run --resume`` continues from its ``final.snap`` to the
-config's ``t_end``; each writes ``series.csv`` and ``final.snap``. The
+config's ``t_end``; each writes ``series.csv`` and ``final.snap``.
+``kellerscope theta0`` prints its CSV row for each of ``THETA0_ROWS``. The
 configs and the files are written to a temporary directory; nothing in
 either checkout changes. Last, ``format_config(parse_config(text))`` of
 each of ``CONFIG_TEXTS`` states every config default, including those no
@@ -23,7 +24,8 @@ workload sets, and reads back every key set to another value of its type,
 an int list, a float list, ``auto``'s alternative and ``off`` among them.
 It compares, per run, the bytes of the final ``u`` and
 ``v``, the final ``t``, ``steps`` and ``status``, and every field of every
-series row, and the bytes of the six files and the formatted configs. It
+series row, and the bytes of the six files, of ``theta0``'s output and of
+the formatted configs. It
 exits 0 when all of them agree, and 1 naming the first difference.
 """
 
@@ -42,7 +44,9 @@ from dataclasses import replace
 
 FILES = ("sweep records.csv", "sweep regime_map.csv", "run series.csv",
          "run final.snap", "resume series.csv", "resume final.snap",
-         "config format_config")
+         "theta0 stdout", "config format_config")
+# (gamma0, chi, C_reg) arguments of `kellerscope theta0`
+THETA0_ROWS = (("3", "1", "2"), ("4", "0.5", "1"), ("2.5", "15", "1e-3"))
 # the empty config; one that sets each enum key to a member other than its
 # default; and one that sets every other key of every section to a value
 # other than its default (phi_family stays canonical there, since linear
@@ -161,6 +165,12 @@ def _runs(checkout: str, seed: int) -> dict:
                     with open(path, "rb") as fh:
                         raw = fh.read()
                     files[key] = raw.hex() if key.endswith(".snap") else raw.decode()
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        for row in THETA0_ROWS:
+            if cli.main(["theta0", *row]) != cli.EXIT_OK:
+                raise RuntimeError(f"kellerscope theta0 {' '.join(row)} failed")
+    files["theta0 stdout"] = printed.getvalue()
     files["config format_config"] = "".join(format_config(parse_config(text))
                                             for text in CONFIG_TEXTS)
     return {"runs": out, "files": files}

@@ -124,7 +124,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, out_dir: str | None = None) -> int:
     """
     check_workers(workers)   # before the output directory is made
     out = _ensure_out_dir(cfg, out_dir)
-    records = run_sweep(cfg.sweep, workers=workers)
+    records = run_sweep(cfg, workers=workers)
     rmap = regime_map(records)
     _write_csv(os.path.join(out, "records.csv"), RunRecord, records)
     _write_csv(os.path.join(out, "regime_map.csv"), RegimeCell, rmap.rows)

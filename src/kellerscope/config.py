@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .grid import Domain
 from .ic import ICSpec
-from .model import ModelParams
+from .model import ModelParams, PhiFamily
 from .stepper import StepperConfig
 from .sweep import SweepSpec
 
@@ -36,12 +36,22 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Each section's object; a sweep runs this config over ``sweep``'s grid.
+    The one rule across sections: a linear-family model runs every cell at
+    p = 0, so a swept p would mislabel its runs and must be ``(0.0,)``."""
+
     domain: Domain
     params: ModelParams
     stepper: StepperConfig
     ic: ICSpec
     sweep: SweepSpec
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if (self.params.phi_family is PhiFamily.LINEAR
+                and self.sweep.p_values != (0.0,)):
+            raise ValueError(f"p_values must be 0.0 under phi_family = linear, "
+                             f"got {self.sweep.p_values}")
 
 
 def _finite(text: str) -> float:
@@ -118,7 +128,7 @@ def _parser(hint):
 
 def _keys(ctor) -> dict:
     """key -> (field, parser) for each parameter of ``ctor`` that has a text
-    form, in signature order; the others (a SweepSpec's domain, ...) are
+    form, in signature order; the others (a RunConfig's domain, ...) are
     not keys."""
     hints = typing.get_type_hints(ctor)
     key_of = {field: key for key, field in _RENAMED.items()}
@@ -173,31 +183,27 @@ def parse_config(text: str) -> RunConfig:
     if problems:
         raise ConfigError(problems)
 
-    def build(section: str, **fixed):
+    def build(section: str, **parts):
         try:
-            return _SECTIONS[section](**values[section], **fixed)
+            return _SECTIONS[section](**values[section], **parts)
         except ValueError as exc:
-            # constraint messages start with the offending field name; use it
-            # to recover the exact config line when that key was set, else
-            # name the last line set in the section (0: none)
+            # constraint messages start with the offending field name: name its
+            # line, in any section, if set, else the section's last (0: none)
             first = str(exc).split()[0] if str(exc) else ""
-            at = lines[section]
+            owner = next((s for s in (section, *lines) if first in lines[s]), section)
+            at = lines[owner]
             ln = at.get(first, max(at.values(), default=0))
-            problems.append((ln, f"[{section}] {exc}"))
+            problems.append((ln, f"[{owner}] {exc}"))
             return None
 
-    domain = build("domain")
-    params = build("model")
-    stepper = build("stepper")
-    ic = build("ic")
-    # SweepSpec checks only the sweep keys, so their problems are reported
-    # even when a section above failed and is passed on as None
-    sweep = build("sweep", domain=domain, base_params=params,
-                  base_cfg=stepper, ic=ic)
+    # [output] builds the RunConfig, which holds every other section's object
+    domain, params, stepper, ic, sweep = (
+        build(section) for section in ("domain", "model", "stepper", "ic", "sweep"))
+    cfg = None if problems else build("output", domain=domain, params=params,
+                                      stepper=stepper, ic=ic, sweep=sweep)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(domain=domain, params=params, stepper=stepper, ic=ic,
-                     sweep=sweep, **values["output"])
+    return cfg
 
 
 def format_config(cfg: RunConfig) -> str:

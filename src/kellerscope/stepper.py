@@ -446,7 +446,7 @@ def run(u0: Field, v0: Field, params: ModelParams, cfg: StepperConfig,
     ``observer_stride`` steps plus the final state; a run that ends DtFloor
     or MaxSteps, without a step, ends in a row of its own at dt 0. With
     ``capture_fields`` the same sampling instants also keep full (t, u, v)
-    copies, which the regularity-constant estimator consumes.
+    copies (each state once), which the regularity-constant estimator reads.
     """
     return run_state(SimState(t=0.0, u=u0.copy(), v=v0.copy()), params, cfg,
                      capture_fields)
@@ -468,11 +468,14 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
     """
     series: list[ObserverSample] = []
     snapshots: list[tuple[float, Field, Field]] = []
+    captured = -1   # steps of the last capture, which a stop without a step repeats
 
     def observe(state: SimState, dt: float) -> None:
+        nonlocal captured
         series.append(_sample(state, dt, cfg.series_gamma))
-        if capture_fields:
+        if capture_fields and state.steps != captured:
             snapshots.append((state.t, state.u.copy(), state.v.copy()))
+            captured = state.steps
 
     work = _work(state.domain)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,42 +1,43 @@
 """Parameter-regime mapping over (chi, mu, p) grids.
 
-Every grid cell (times replica) is an independent simulation; the record
-list is a pure function of the SweepSpec, regardless of how many workers
+A sweep is its RunConfig's run at every cell of the config's SweepSpec
+grid, times replicas. Each is an independent simulation, and the record
+list is a pure function of the RunConfig, regardless of how many workers
 execute it. Replica aggregation is worst-outcome-wins because a single
 blowing-up replica falsifies a boundedness claim for that cell.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .diagnostics import RunOutcome, TheoryRegime, classify_run, classify_theory, theta0
-from .grid import Domain
-from .ic import ICSpec, build_ic
-from .model import ModelParams, PhiFamily
-from .stepper import StepperConfig, run
+from .ic import build_ic
+from .stepper import run
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 REPLICA_PERTURBATION = 0.05
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A full sweep: value grids, shared template, initial data, seeding."""
+    """The [sweep] keys alone: value grids, replicas, seeding and the
+    theta0 inputs; every cell runs the domain, model, stepper and initial
+    data of the RunConfig that holds it."""
 
-    domain: Domain
-    base_params: ModelParams
-    base_cfg: StepperConfig
     chi_values: tuple[float, ...] = (1.0,)
     mu_values: tuple[float, ...] = (1.0,)
     p_values: tuple[float, ...] = (0.0,)
-    ic: ICSpec = ICSpec()
     repeat: int = 1
     seed: int = 0
-    gamma0: float | None = None   # None: domain dimension + 1 (floored at 3)
+    gamma0: float | None = None   # None: domain dimension + 1, floored at 3
     C_reg: float = 1.0
 
     def __post_init__(self):
@@ -49,11 +50,6 @@ class SweepSpec:
                 raise ValueError(f"{name} must be strictly ascending, got {vals}")
             if name != "p_values" and vals[0] <= 0.0:
                 raise ValueError(f"{name} must be positive, got {vals}")
-        # a linear cell runs p = 0 under any label (None: [model] failed)
-        if (self.base_params is not None and self.p_values != (0.0,)
-                and self.base_params.phi_family is PhiFamily.LINEAR):
-            raise ValueError(f"p_values must be 0.0 under phi_family = linear, "
-                             f"got {self.p_values}")
         if self.repeat < 1:
             raise ValueError(f"repeat must be >= 1, got {self.repeat}")
         if self.seed < 0:
@@ -62,11 +58,6 @@ class SweepSpec:
             raise ValueError(f"gamma0 must exceed 1, got {self.gamma0}")
         if not self.C_reg > 0.0:
             raise ValueError(f"C_reg must be positive, got {self.C_reg}")
-
-    def effective_gamma0(self) -> float:
-        if self.gamma0 is not None:
-            return self.gamma0
-        return float(max(2, self.domain.dim) + 1)
 
 
 @dataclass(frozen=True)
@@ -114,23 +105,24 @@ class _Task:
     mu: float
     p: float
     replica: int
-    spec: SweepSpec
+    cfg: RunConfig
 
 
 def _execute(task: _Task) -> RunRecord:
-    spec = task.spec
+    cfg, spec = task.cfg, task.cfg.sweep
     prediction = TheoryRegime.CRITICAL_UNDETERMINED
     start = time.perf_counter()
     try:
         # a threshold that is not finite (chi = C_reg = 1e300) is an error cell
-        theta_est, _ = theta0(spec.effective_gamma0(), task.chi, spec.C_reg)
+        gamma0 = spec.gamma0 or float(max(2, cfg.domain.dim) + 1)   # None: auto
+        theta_est, _ = theta0(gamma0, task.chi, spec.C_reg)
         prediction = classify_theory(task.chi, task.mu, theta_est)
-        params = replace(spec.base_params, chi=task.chi, mu=task.mu, p=task.p)
+        params = replace(cfg.params, chi=task.chi, mu=task.mu, p=task.p)
         rng = np.random.default_rng([spec.seed, task.index])
         perturbation = REPLICA_PERTURBATION if task.replica > 0 else 0.0
-        u0, v0 = build_ic(spec.ic, spec.domain, rng, perturbation)
-        result = run(u0, v0, params, spec.base_cfg)
-        outcome = classify_run(result.final, result.series, spec.base_cfg)
+        u0, v0 = build_ic(cfg.ic, cfg.domain, rng, perturbation)
+        result = run(u0, v0, params, cfg.stepper)
+        outcome = classify_run(result.final, result.series, cfg.stepper)
         return RunRecord(
             chi=task.chi, mu=task.mu, p=task.p, replica=task.replica,
             outcome=outcome,
@@ -156,16 +148,11 @@ def _failed(task: _Task, exc: BaseException,
     )
 
 
-def _tasks(spec: SweepSpec) -> list[_Task]:
-    tasks = []
-    index = 0
-    for chi in spec.chi_values:
-        for mu in spec.mu_values:
-            for p in spec.p_values:
-                for rep in range(spec.repeat):
-                    tasks.append(_Task(index, chi, mu, p, rep, spec))
-                    index += 1
-    return tasks
+def _tasks(cfg: RunConfig) -> list[_Task]:
+    """Every cell replica, in lexicographic (chi, mu, p, replica) order."""
+    s = cfg.sweep
+    cells = itertools.product(s.chi_values, s.mu_values, s.p_values, range(s.repeat))
+    return [_Task(index, *cell, cfg) for index, cell in enumerate(cells)]
 
 
 def check_workers(workers: int) -> None:
@@ -175,16 +162,19 @@ def check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> list[RunRecord]:
-    """Execute every cell replica; records come back in lexicographic
-    (chi, mu, p, replica) order no matter how many workers ran them.
+def run_sweep(cfg: RunConfig, workers: int = 1) -> list[RunRecord]:
+    """Run ``cfg`` at every cell of ``cfg.sweep``, ``repeat`` replicas each:
+    replica 0 is ``cfg``'s own run at the cell's chi, mu and p, and the
+    others perturb its initial data, seeded by the sweep's seed and the
+    task index. Records come back in lexicographic (chi, mu, p, replica)
+    order no matter how many workers ran them.
 
     A worker process that dies (killed, out of memory) breaks the pool: the
     records finished before that are kept, and every cell the pool lost
     comes back Undecided with an ``error:`` note, as a cell that raised.
     """
     check_workers(workers)
-    tasks = _tasks(spec)
+    tasks = _tasks(cfg)
     if workers == 1 or len(tasks) == 1:
         return [_execute(t) for t in tasks]
     # only a pool needs the process machinery, so only a pool imports it

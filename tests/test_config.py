@@ -2,6 +2,7 @@
 
 import re
 import string
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,19 @@ def test_sweep_constraint_error_names_line(text, lines):
     assert err.value.problems[-1][1].startswith("[sweep]")
 
 
+def test_the_rule_across_sections_names_its_sweep_line():
+    # RunConfig checks it, once every section has built; the report is the
+    # [sweep] line that set p_values, as a [sweep] key's own problem is
+    text = "[model]\nphi_family = linear\n[sweep]\nseed = 3\np_values = 0.0, 2.0\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.problems == [
+        (5, "[sweep] p_values must be 0.0 under phi_family = linear, got (0.0, 2.0)")]
+    # the [sweep] section builds its own keys alone
+    assert [f.name for f in fields(SweepSpec)] == [
+        "chi_values", "mu_values", "p_values", "repeat", "seed", "gamma0", "C_reg"]
+
+
 def test_duplicate_key_is_an_error_not_last_wins():
     text = "[model]\nchi = 1.0\nchi = 2.0\n"
     with pytest.raises(ConfigError) as err:
@@ -211,8 +225,10 @@ def test_unknown_key_and_section_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config("[modell]\nchi = 1.0\n")
     assert any("unknown section" in msg for _, msg in err.value.problems)
-    # a field whose type has no text form is not a key
-    for section, key in (("sweep", "ic"), ("sweep", "base_cfg"), ("output", "domain")):
+    # a field whose type has no text form is not a key, and [sweep] holds
+    # no copy of another section
+    for section, key in (("output", "domain"), ("output", "params"), ("output", "sweep"),
+                         ("sweep", "domain"), ("sweep", "ic"), ("sweep", "base_cfg")):
         with pytest.raises(ConfigError) as err:
             parse_config(f"[{section}]\n{key} = x\n")
         assert err.value.problems == [(2, f"unknown key '{key}' in section [{section}]")]
@@ -341,15 +357,14 @@ def run_configs(draw):
         max_steps=draw(st.integers(1, 10**9)), helmholtz_tol=draw(_POS),
         helmholtz_maxiter=draw(st.integers(1, 10**5)))
     ic = ICSpec(draw(st.sampled_from(ICName)), draw(_NONNEG), draw(_POS))
-    # a linear-family sweep takes p = 0 alone (see SweepSpec)
+    # a linear-family sweep takes p = 0 alone (see RunConfig)
     p_values = ((0.0,) if params.phi_family is PhiFamily.LINEAR
                 else draw(_ascending(st.floats(allow_nan=False, allow_infinity=False))))
     sweep = SweepSpec(
-        domain=domain, chi_values=draw(_ascending(_POS)),
-        mu_values=draw(_ascending(_POS)), p_values=p_values,
-        base_params=params, base_cfg=stepper, ic=ic,
-        repeat=draw(st.integers(1, 100)), seed=draw(st.integers(0, 2**63)),
-        gamma0=draw(st.none() | _ABOVE_ONE), C_reg=draw(_POS))
+        chi_values=draw(_ascending(_POS)), mu_values=draw(_ascending(_POS)),
+        p_values=p_values, repeat=draw(st.integers(1, 100)),
+        seed=draw(st.integers(0, 2**63)), gamma0=draw(st.none() | _ABOVE_ONE),
+        C_reg=draw(_POS))
     # the format has no escapes: '#' starts a comment, a line break ends the
     # value and the value is stripped, so some of these cannot be written
     out_dir = draw(st.text(string.ascii_letters + string.digits + "_-./#= \t\n\r\x85",

@@ -207,6 +207,24 @@ def test_estimate_c_reg_requires_two_samples_and_increasing_times():
         estimate_c_reg([(0.0, f, f), (0.1, f, f)], 2.0, 0.0)
 
 
+def test_a_run_that_stops_without_a_step_captures_each_state_once():
+    # stride 5, max_steps 10: step 10 is sampled and captured, then the
+    # MaxSteps stop adds its own row at dt 0 but no second capture of it
+    d = Domain((1.0,), (8,))
+    p = ModelParams()
+    u0, v0 = build_ic(ICSpec("gaussian_bump", 1.0, 0.2), d)
+    cfg = StepperConfig(dt_init=1e-3, dt_min=1e-3, dt_max=1e-3, max_steps=10,
+                        observer_stride=5, blowup_threshold=1e6)
+    res = run(u0, v0, p, cfg, capture_fields=True)
+    times = [t for t, _, _ in res.snapshots]
+    assert len(times) == 3 and times[0] < times[1] < times[2] == res.final.t
+    assert math.isfinite(estimate_c_reg(res.snapshots, 2.0, 1.0))
+    assert res.series == run(u0, v0, p, cfg).series
+    assert [(s.t, s.dt, s.status) for s in res.series] == [
+        (0.0, 0.0, "Running"), (times[1], pytest.approx(1e-3), "Running"),
+        (times[2], pytest.approx(1e-3), "Running"), (times[2], 0.0, "MaxSteps")]
+
+
 def test_estimate_c_reg_weights_each_sample_by_its_interval():
     # h = 1: v = (0, 1, 0) has lap v = (1, -2, 1), so integral |lap v|^2 = 6,
     # integral v^2 = 1 and integral u^2 = 3 for u = 1; the samples at

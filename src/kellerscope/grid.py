@@ -6,7 +6,10 @@ cells), work in flux form so that the discrete integral of their output
 telescopes to zero, and vanish identically on constant fields. Every
 Laplacian, the Helmholtz solve's included, is one :func:`_stencil` pass;
 the solve inverts exactly in the Laplacian's DCT-II eigenbasis, in any
-dimension. The density's fluxes live in :mod:`kellerscope.model`.
+dimension, folding the basis by its symmetry on long even axes. Face
+arrays are scaled by the reciprocal spacings, stored once at face shape
+(``Domain._rh``), so that no operator divides by a broadcast operand. The
+density's fluxes live in :mod:`kellerscope.model`.
 """
 
 from __future__ import annotations
@@ -98,6 +101,13 @@ class Domain:
     ``lengths`` and ``cells`` are per-axis; spatial dimension is their
     common length and must be 1 or 2. Spacing is ``length / cells`` per
     axis. At least 3 cells per axis so every interior stencil exists.
+
+    ``_rh`` holds 1/h_k at every face of axis k, in the stacked face shape
+    ``(dim, *cells)``: the operators scale a face array by it in place,
+    where a ``(dim, 1, ...)`` operand (``_h``) would send numpy's iterator
+    through short inner loops, about four times the cost at 64^2. 1/h is
+    exact for a power-of-two spacing, where the product has the quotient's
+    bits; any other spacing may move a product by one rounding.
     """
 
     lengths: tuple[float, ...]
@@ -124,6 +134,8 @@ class Domain:
                                                 for k in range(self.dim)))
         object.__setattr__(self, "_h", np.reshape(self._spacing,
                                                   (self.dim,) + (1,) * self.dim))
+        object.__setattr__(self, "_rh", np.broadcast_to(
+            1.0 / self._h, (self.dim,) + self.cells).copy())
         object.__setattr__(self, "_gather", _gather(self._axes, self.cells)
                            if self.n_cells <= _GATHER_MAX_CELLS else None)
         object.__setattr__(self, "_eigen", None)  # see _eigenbasis
@@ -220,18 +232,22 @@ def _grad(vals: np.ndarray, d: Domain, out: np.ndarray | None = None) -> np.ndar
     ``(vals[c + e_k] - vals[c]) / h_k`` on the face between c and c + e_k,
     zero on the upper wall."""
     g = np.subtract(_upper(vals, d, out), vals, out)
-    return np.divide(g, d._h, g)
+    return np.multiply(g, d._rh, g)
 
 
 def _upwind_flux(u: np.ndarray, u_up: np.ndarray, w: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Donor-cell flux w * u: the density comes from the cell the velocity
-    points away from; exactly zero where w is zero. Overwrites ``u_up``,
-    which callers pass as a temporary."""
-    # np.where has no out: put u over its upper neighbour where the velocity
-    # points up (putmask repeats u across the stacked faces)
-    np.putmask(u_up, w > 0.0, u)
-    return np.multiply(w, u_up, out)
+    points away from; exactly zero where w is zero. Computed as
+    ``min(w, 0) * u_up + max(w, 0) * u``, with ``u`` repeated across the
+    stacked faces, into ``out`` and over ``u_up``, which callers pass as a
+    temporary."""
+    flux = np.minimum(w, 0.0, out=out)
+    flux *= u_up
+    down = np.maximum(w, 0.0, out=u_up)
+    down *= u
+    flux += down
+    return flux
 
 
 def _divergence(flux: np.ndarray, d: Domain, out: np.ndarray | None = None) -> np.ndarray:
@@ -252,7 +268,7 @@ def _divergence(flux: np.ndarray, d: Domain, out: np.ndarray | None = None) -> n
             flux[f_last] = 0.0
             div[f_first] = flux[f_first]
             np.subtract(flux[f_hi], flux[f_lo], out=div[f_hi])
-    div /= d._h
+    div *= d._rh
     total = div[0]
     for k in range(1, d.dim):   # the axes in order, as add.reduce sums them
         total += div[k]
@@ -304,15 +320,40 @@ def _max_outflow(w: np.ndarray, d: Domain, out: np.ndarray) -> float:
     return _amax(total)
 
 
-def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+# In a box of dimension dim, an even axis of at least _FOLD_MIN_CELLS[dim]
+# cells takes its DCT-II basis folded (see _Fold): half the flops of the
+# dense product, for six more numpy calls per axis and direction. Timed
+# with one OpenBLAS thread (best of 7, 2-core x86-64, numpy 2.4), the 2D
+# inverse took longer folded at 64^2 (41 -> 65 us) and 96^2 (108 -> 137 us)
+# and less from 104^2 on (184 -> 129 us; 322 -> 203 us at 128^2). In 1D,
+# one matrix-vector product per transform, the crossover lay between 256
+# cells (20 -> 22 us) and 320 (28 -> 26 us; 108 -> 47 us at 512).
+_FOLD_MIN_CELLS = {1: 320, 2: 104}
+
+
+class _Fold(NamedTuple):
+    """The DCT-II basis C of an even axis of n cells, folded by the
+    symmetry ``C[m, n-1-j] = (-1)^m C[m, j]``: the even and the odd rows of
+    C over its first n/2 columns. A transform by it folds the axis into the
+    sums and the differences of mirrored cells and multiplies each half by
+    its block; its modes come out in [even | odd] order."""
+
+    even: np.ndarray
+    odd: np.ndarray
+
+
+def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray | _Fold, ...], np.ndarray]:
     """The zero-flux Laplacian's eigenbasis, in any dimension.
 
     Returns, per axis k, the orthonormal DCT-II matrix C_k, whose row m is
     the mode of -lap along k with eigenvalue ``(4/h_k^2) sin^2(pi m / 2n_k)``
-    (``_stencil``'s Laplacian is -C_k.T diag(those) C_k along each axis); and
-    ``lam``, the eigenvalues of -lap on the whole grid, in the grid's shape:
-    the sums of one per-axis eigenvalue per axis. Built on first use, then
-    cached on the domain: n^2 doubles per axis of n cells, plus one per cell.
+    (``_stencil``'s Laplacian is -C_k.T diag(those) C_k along each axis),
+    as a :class:`_Fold` on an even axis of at least ``_FOLD_MIN_CELLS``
+    cells for the box's dimension; and ``lam``, the eigenvalues of -lap on
+    the whole grid, in the grid's shape: the sums of one per-axis
+    eigenvalue per axis, with the modes of a folded axis in [even | odd]
+    order. Built on first use, then cached on the domain: n^2 doubles per
+    dense axis of n cells, half that per folded one, plus one per cell.
     """
     if d._eigen is None:
         bases, lam = [], 0.0
@@ -320,8 +361,12 @@ def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
             m = np.arange(n)
             c = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(m, m + 0.5))
             c[0] /= np.sqrt(2.0)
+            ev = 4.0 / h**2 * np.sin(np.pi / (2 * n) * m) ** 2
+            if n % 2 == 0 and n >= _FOLD_MIN_CELLS[d.dim]:
+                c = _Fold(c[0::2, :n // 2].copy(), c[1::2, :n // 2].copy())
+                ev = np.concatenate([ev[0::2], ev[1::2]])
             bases.append(c)
-            lam = np.add.outer(lam, 4.0 / h**2 * np.sin(np.pi / (2 * n) * m) ** 2)
+            lam = np.add.outer(lam, ev)
         object.__setattr__(d, "_eigen", (tuple(bases), lam))
     return d._eigen
 
@@ -329,9 +374,10 @@ def _eigenbasis(d: Domain) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 class _SolveArrays(NamedTuple):
     """The arrays a Helmholtz solve writes into: the solution past its warm
     start with that solution's face gradient and face-shaped Laplacian (see
-    :func:`_stencil`), the residual, ``s`` for |residual| and the inverse's
-    eigenvalues, and the inverse's ``2 * dim`` products, each in its own
-    shape, which alternate between a spare cell array and the residual's."""
+    :func:`_stencil`), the residual, ``s`` for |residual|, the inverse's
+    eigenvalues and a folded axis's halves, and the inverse's ``2 * dim``
+    products, each in its own shape, which alternate between a spare cell
+    array and the residual's."""
 
     x: np.ndarray
     grad: np.ndarray
@@ -433,15 +479,37 @@ def _helmholtz_inverse(r: np.ndarray, alpha: float, d: Domain, s: np.ndarray,
     transform multiplies by one basis per axis: rotating the axes
     cyclically brings each axis last in turn, and after ``dim`` rotations
     they are back in their own order. The products go into ``turns`` (see
-    :class:`_SolveArrays`), the eigenvalues of alpha*I - lap into ``s``.
+    :class:`_SolveArrays`), the eigenvalues of alpha*I - lap into ``s``,
+    which a folded axis also takes as the scratch of its halves. A folded
+    axis (see :class:`_Fold`) carries its modes in [even | odd] order, as
+    ``lam`` does, and the transform back mirrors them onto the cells.
     """
     bases, lam = _eigenbasis(d)
     cyc = (*range(1, d.dim), 0)
     for c, out in zip(bases, turns):
-        r = np.matmul(r.transpose(cyc), c.T, out)
+        if isinstance(c, _Fold):
+            # the axis to transform is r's first; the halves go into s
+            h = len(c.even)
+            sums, diffs = s.reshape((2, h) + r.shape[1:])
+            np.add(r[:h], r[:h - 1:-1], sums)
+            np.subtract(r[:h], r[:h - 1:-1], diffs)
+            np.matmul(sums.transpose(cyc), c.even.T, out[..., :h])
+            np.matmul(diffs.transpose(cyc), c.odd.T, out[..., h:])
+            r = out
+        else:
+            r = np.matmul(r.transpose(cyc), c.T, out)
     r = np.divide(r, np.add(lam, alpha, s), r)
     for c, out in zip(bases, turns[d.dim:]):
-        r = np.matmul(r.transpose(cyc), c, out)
+        if isinstance(c, _Fold):
+            h = len(c.even)
+            lo, hi = s.reshape((2,) + r.shape[1:] + (h,))
+            np.matmul(r[:h].transpose(cyc), c.even, lo)
+            np.matmul(r[h:].transpose(cyc), c.odd, hi)
+            np.add(lo, hi, out[..., :h])
+            np.subtract(lo, hi, out[..., :h - 1:-1])
+            r = out
+        else:
+            r = np.matmul(r.transpose(cyc), c, out)
     return r
 
 

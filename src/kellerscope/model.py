@@ -106,7 +106,7 @@ def _diffusive_flux(u: np.ndarray, u_up: np.ndarray, params: ModelParams,
         face_phi = _phi(face_phi, params)
     flux = np.subtract(u_up, u, out)
     flux *= face_phi
-    flux /= d._h
+    flux *= d._rh
     return flux
 
 

@@ -311,6 +311,61 @@ def test_operators_conserve_and_annihilate_constants_property(d, seed, scale, c,
         assert np.all(out.values == 0.0)
 
 
+# ------------------------------------------------------ reciprocal spacing
+
+def divided_operators(u, v, chi, params, d):
+    """The Laplacian of v, diffusive_divergence of u and
+    chemotactic_divergence of (u, v), each face term divided by h_k, in
+    the operators' own order of operations: face differences over h, the
+    face flux, then per axis the flux difference over h, summed over the
+    axes in order."""
+    def faces(x, k):   # the lower and upper cell of each interior face
+        n = x.shape[k]
+        return np.take(x, range(n - 1), axis=k), np.take(x, range(1, n), axis=k)
+
+    def divergence(fluxes):
+        total = 0.0
+        for k, (f, h) in enumerate(zip(fluxes, d.spacing)):
+            walls = [(0, 0)] * d.dim
+            walls[k] = (1, 1)   # zero flux through both walls
+            term = np.diff(np.pad(f, walls), axis=k) / h
+            total = term if k == 0 else total + term
+        return total
+
+    lap, diff, chem = [], [], []
+    for k, h in enumerate(d.spacing):
+        (v_lo, v_hi), (u_lo, u_hi) = faces(v, k), faces(u, k)
+        lap.append((v_hi - v_lo) / h)
+        face_phi = params.k
+        if params.p != 0.0:
+            face_phi = ((u_lo + u_hi) * 0.5 + 1.0) ** params.p * params.k
+        diff.append((u_hi - u_lo) * face_phi / h)
+        w = chi * ((v_hi - v_lo) / h)
+        chem.append(np.where(w > 0.0, w * u_lo, w * u_hi))
+    return divergence(lap), divergence(diff), divergence(chem)
+
+
+@pytest.mark.parametrize("d, exact", [
+    (Domain((1.0,), (8,)), True), (Domain((1.0, 1.0), (64, 64)), True),
+    (Domain((1.0, 1.0), (128, 128)), True),
+    (Domain((1.7,), (41,)), False), (Domain((1.0, 1.4), (12, 17)), False)],
+    ids=["8", "64x64", "128x128", "41-of-1.7", "12x17-of-1x1.4"])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_operators_match_the_divided_oracle(d, exact, p):
+    # a power-of-two spacing has an exact reciprocal, and the operators'
+    # products by it have the quotients' bits; any other moves an entry by
+    # at most a rounding
+    params = ModelParams(tau=1.0, chi=1.3, mu=1.0, k=0.7, p=p)
+    u, v = random_fields(d, 17, 0.1, 2.0)
+    got = (laplacian_neumann(v, d), diffusive_divergence(u, params, d),
+           chemotactic_divergence(u, v, 1.3, d))
+    for out, want in zip(got, divided_operators(u.values, v.values, 1.3, params, d)):
+        if exact:
+            assert out.values.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(out.values - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 # ---------------------------------------------------------- mirror symmetry
 
 @pytest.mark.parametrize("axis", [0, 1])

@@ -5,10 +5,17 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("samebits", ROOT / "tools" / "samebits.py")
 samebits = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(samebits)
+
+
+def _field(result, name, key="u"):
+    return np.frombuffer(bytes.fromhex(result["runs"][name][key]))
 
 
 def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
@@ -20,6 +27,7 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
         trees.append(samebits.collect(str(tmp_path / side), seed=3))
     a, b = trees
     assert samebits.compare(a, b) is None
+    assert samebits.drifts(a, b) == {}
     # tiny-fixed-dt's 4 runs, damped-2d's 2, sweep-2w's 12 cells and the
     # 3 slice-path runs; then the sweep's two files, a header and 12 rows
     # each, the series and 64x64 snapshot of the run and of its resume, and
@@ -52,6 +60,15 @@ def test_identical_trees_compare_equal_and_a_difference_is_named(tmp_path):
         other["runs"][name][key] = edit(other["runs"][name])
         assert samebits.compare(a, other).startswith(f"{name}: ")
         assert message in samebits.compare(a, other)
+        assert samebits.drifts(a, other) == {name: 0.0 if key != "u" else pytest.approx(
+            np.max(np.abs(_field(other, name) - _field(a, name)))
+            / np.max(np.abs(_field(a, name))))}
+    # a field entry moved by 1e-9 of the field's largest magnitude
+    other = copy.deepcopy(b)
+    u = _field(b, name, "v").copy()
+    u[3] += 1e-9 * np.max(np.abs(u))
+    other["runs"][name]["v"] = u.tobytes().hex()
+    assert samebits.drifts(a, other) == {name: pytest.approx(1e-9, rel=1e-6)}
 
     # a changed record names its file, its line and both versions of it
     for file_name in ("sweep records.csv", "sweep regime_map.csv"):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import unittest.mock
 from dataclasses import replace
 
 import numpy as np
@@ -81,13 +82,59 @@ def test_helmholtz_matches_dense_solver_2d():
         assert np.allclose(w.values.ravel(), want, atol=1e-10)
 
 
+@st.composite
+def folded_domains(draw):
+    """(domain, lowered fold length or None): 1D and 2D boxes with at least
+    one even axis at or above the fold length (grid._FOLD_MIN_CELLS, or the
+    lowered one, which the test puts in its place), square or not, with
+    spacings of at least 0.1 so that the dense oracle stays well
+    conditioned."""
+    dim = draw(st.sampled_from([1, 2]))
+    low = draw(st.none() | st.integers(2, 8).map(lambda n: 2 * n))
+    fold = low or grid._FOLD_MIN_CELLS[dim]
+    even = st.integers(fold // 2, fold // 2 + (8 if low else 60)).map(lambda n: 2 * n)
+    cells = [draw(even)]
+    if dim == 2:
+        beside = st.integers(3, 7)   # a short axis, never folded
+        if low:   # small enough for the oracle: a long odd or a folded axis
+            beside |= even | even.map(lambda n: n + 1)
+        cells = draw(st.permutations(cells + [draw(beside)]))
+    return Domain(tuple(n * draw(st.floats(0.1, 2.0)) for n in cells), tuple(cells)), low
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=folded_domains(), alpha=st.floats(0.5, 10.0), seed=st.integers(0, 2**32 - 1))
+@example(case=(Domain((33.0,), (330,)), None), alpha=0.5, seed=1)
+@example(case=(Domain((0.7, 20.8), (5, 104)), None), alpha=1.0, seed=2)
+@example(case=(Domain((2.0, 1.1), (12, 11)), 6), alpha=2.0, seed=3)
+@example(case=(Domain((1.6, 1.2), (16, 12)), 6), alpha=2.0, seed=4)
+def test_folded_inverse_matches_the_dense_solve_property(case, alpha, seed):
+    d, low = case
+    fold = dict(grid._FOLD_MIN_CELLS)
+    if low:
+        fold[d.dim] = low
+    with unittest.mock.patch.dict(grid._FOLD_MIN_CELLS, fold):
+        bases, _ = grid._eigenbasis(d)
+    assert [type(c) is grid._Fold for c in bases] == [
+        n % 2 == 0 and n >= fold[d.dim] for n in d.cells]
+    assert any(type(c) is grid._Fold for c in bases)
+    rhs = np.random.default_rng(seed).standard_normal(d.shape)
+    arrays = grid._solve_arrays(d, np.empty(3 * d.n_cells))
+    arrays.r[...] = rhs
+    got = grid._helmholtz_inverse(arrays.r, alpha, d, arrays.s, arrays.turns)
+    want = np.linalg.solve(dense_helmholtz_matrix(alpha, d), rhs.ravel())
+    assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_helmholtz_residual_contract():
-    d = Domain((1.0, 1.0), (32, 32))
-    rng = np.random.default_rng(8)
-    rhs = Field(rng.standard_normal(d.shape), d)
-    w = solve_helmholtz(rhs, 0.5, d, tol=1e-10)
-    res = 0.5 * w.values - laplacian_neumann(w, d).values - rhs.values
-    assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs.values))
+    # 128^2 takes the folded basis on both axes
+    for d in (Domain((1.0, 1.0), (32, 32)), Domain((1.0, 1.0), (128, 128))):
+        rng = np.random.default_rng(8)
+        rhs = Field(rng.standard_normal(d.shape), d)
+        w = solve_helmholtz(rhs, 0.5, d, tol=1e-10)
+        res = 0.5 * w.values - laplacian_neumann(w, d).values - rhs.values
+        assert np.max(np.abs(res)) <= 1e-10 * np.max(np.abs(rhs.values))
+    assert all(type(c) is grid._Fold for c in d._eigen[0])
 
 
 def test_helmholtz_iteration_budget_error():
@@ -1025,6 +1072,8 @@ def test_run_steps_allocate_no_full_size_array(monkeypatch, case):
     assert final.steps == len(peaks) - 1 == 6
     assert (len(drains) > final.steps) == isinstance(case, str)
     assert max(peaks[2:]) < 2 * d.n_cells * 8
+    # the signal's inverse took the folded basis on both axes
+    assert all(type(c) is grid._Fold for c in d._eigen[0])
 
 
 def test_self_convergence_order_window():

@@ -26,7 +26,10 @@ It compares, per run, the bytes of the final ``u`` and
 ``v``, the final ``t``, ``steps`` and ``status``, and every field of every
 series row, and the bytes of the six files, of ``theta0``'s output and of
 the formatted configs. It
-exits 0 when all of them agree, and 1 naming the first difference.
+exits 0 when all of them agree, and 1 naming the first difference; then
+it lists every run whose final fields differ with the largest relative
+difference of its final ``u`` and ``v`` (see :func:`drifts`), and every
+file that differs.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+
+import numpy as np
 
 
 FILES = ("sweep records.csv", "sweep regime_map.csv", "run series.csv",
@@ -230,6 +235,24 @@ def _compare_runs(a: dict, b: dict) -> str | None:
     return None
 
 
+def drifts(a: dict, b: dict) -> dict[str, float]:
+    """Per run that differs between ``a`` and ``b`` in anything, the
+    largest difference of its final ``u`` and ``v`` entries relative to the
+    largest magnitude of ``a``'s field (0 when only its steps, time or
+    series differ)."""
+    out = {}
+    for run_name, ra in a["runs"].items():
+        rb = b["runs"].get(run_name)
+        if rb is None or ra == rb:
+            continue
+        worst = 0.0
+        for key in ("u", "v"):
+            x, y = (np.frombuffer(bytes.fromhex(r[key])) for r in (ra, rb))
+            worst = max(worst, float(np.max(np.abs(x - y)) / np.max(np.abs(x))))
+        out[run_name] = worst
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", nargs="?")
@@ -246,6 +269,13 @@ def main(argv: list[str] | None = None) -> int:
     diff = compare(a, b)
     if diff is not None:
         print(f"differ: {diff}")
+        for run_name, drift in drifts(a, b).items():
+            steps = {a["runs"][run_name]["steps"], b["runs"][run_name]["steps"]}
+            print(f"  final fields of {run_name}: largest relative difference "
+                  f"{drift:.2e} after {' vs '.join(map(str, sorted(steps)))} steps")
+        for name in FILES:
+            if a["files"][name] != b["files"][name]:
+                print(f"  file {name} differs")
         return 1
     runs = a["runs"]
     print(f"bit-identical: {len(runs)} runs (final u, v, t, steps, status and "

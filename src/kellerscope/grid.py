@@ -6,10 +6,12 @@ cells), work in flux form so that the discrete integral of their output
 telescopes to zero, and vanish identically on constant fields. Every
 Laplacian, the Helmholtz solve's included, is one :func:`_stencil` pass;
 the solve inverts exactly in the Laplacian's DCT-II eigenbasis, in any
-dimension, folding the basis by its symmetry on long even axes. Face
-arrays are scaled by the reciprocal spacings, stored once at face shape
-(``Domain._rh``), so that no operator divides by a broadcast operand. The
-density's fluxes live in :mod:`kellerscope.model`.
+dimension, folding the basis by its symmetry on long even axes. Both stencil
+paths, contiguous shifts and index gathers, read one face layout by flat
+offsets (:func:`_faces`). Face arrays are scaled by the reciprocal
+spacings, stored once at face shape (``Domain._rh``), so that no operator
+divides by a broadcast operand. The density's fluxes live in
+:mod:`kellerscope.model`.
 """
 
 from __future__ import annotations
@@ -35,39 +37,19 @@ class HelmholtzError(RuntimeError):
         self.residual = residual
 
 
-class _Axis(NamedTuple):
-    """Index tuples for one axis k of the stacked face layout, where entry
-    ``[k][c]`` of a face array sits on the face between cell c and its upper
-    neighbour c + e_k. The ``f_`` tuples index a stacked face array, the
-    others a cell array."""
-
-    hi: tuple        # cells 1 .. n-1 along k
-    last: tuple      # the last cell layer along k
-    f_lo: tuple      # faces [k][0 .. n-2]: the interior faces
-    f_hi: tuple      # faces [k][1 .. n-1]
-    f_last: tuple    # faces [k][n-1]: the upper wall
-    f_first: tuple   # faces [k][0]
-
-
-def _axis(dim: int, k: int) -> _Axis:
-    def along(sl):
-        return tuple(sl if j == k else slice(None) for j in range(dim))
-    lo, hi, last, first = (along(sl) for sl in (slice(None, -1), slice(1, None),
-                                                slice(-1, None), slice(None, 1)))
-    return _Axis(hi, last, (k,) + lo, (k,) + hi, (k,) + last, (k,) + first)
-
-
-def _upper_slices(vals: np.ndarray, axes: tuple[_Axis, ...],
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Upper neighbour of every cell along each axis, stacked on a leading
-    axis; on the upper wall the cell itself. Written into ``out`` when
-    given."""
-    if out is None:
-        out = np.empty((len(axes),) + vals.shape, dtype=vals.dtype)
-    for hi, last, f_lo, _, f_last, _ in axes:
-        out[f_lo] = vals[hi]
-        out[f_last] = vals[last]
-    return out
+def _faces(shape: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The stacked face layout of a grid of ``shape``: entry ``[k][c]`` of a
+    face array ``(dim, *shape)`` sits between cell c and the cell
+    ``s_k = prod(shape[k+1:])`` places later in flat order, its upper
+    neighbour along axis k. Returns the strides ``s_k`` and the ascending
+    flat indices ``k*n + c`` of the upper-wall faces (c on the last layer
+    along k)."""
+    n = math.prod(shape)
+    cells = np.arange(n).reshape(shape)
+    shift = tuple(math.prod(shape[k + 1:]) for k in range(len(shape)))
+    wall = np.concatenate([k * n + cells.take(-1, axis=k).ravel()
+                           for k in range(len(shape))])
+    return shift, wall
 
 
 # Up to this many cells the face stencil runs as fancy-index gathers from
@@ -80,18 +62,20 @@ _GATHER_MAX_CELLS = 1024
 class _Gather(NamedTuple):
     upper: np.ndarray   # (dim, *cells): flat cell index of each upper neighbour
     lower: np.ndarray   # flat face index of each face's lower neighbour
-    wall: np.ndarray    # flat face indices of the upper walls
 
 
-def _gather(axes: tuple[_Axis, ...], shape: tuple[int, ...]) -> _Gather:
-    cells = np.arange(math.prod(shape)).reshape(shape)
-    faces = np.arange(len(axes) * cells.size).reshape((len(axes),) + shape)
-    lower = np.empty_like(faces)
-    for _, _, f_lo, f_hi, f_last, f_first in axes:
-        lower[f_hi] = faces[f_lo]
-        lower[f_first] = faces[f_last]  # a zeroed upper-wall face: no flux in
-    return _Gather(_upper_slices(cells, axes), lower.ravel(),
-                   np.concatenate([faces[ax.f_last].ravel() for ax in axes]))
+def _gather(shape: tuple[int, ...], shift: tuple[int, ...],
+            wall: np.ndarray) -> _Gather:
+    """The gather path's index tables for the layout ``shift, wall`` of a
+    grid of ``shape`` (see :func:`_faces`): the upper neighbour ``c + s_k``
+    of each cell, or c on the upper wall, and the face below each face,
+    ``k*n + (c - s_k) mod n``, an upper-wall face on the first layer."""
+    n = math.prod(shape)
+    c = np.arange(n)
+    upper = np.concatenate([c + s for s in shift])
+    upper[wall] = wall % n
+    lower = np.concatenate([k * n + (c - s) % n for k, s in enumerate(shift)])
+    return _Gather(upper.reshape((len(shape),) + shape), lower)
 
 
 @dataclass(frozen=True)
@@ -102,12 +86,16 @@ class Domain:
     common length and must be 1 or 2. Spacing is ``length / cells`` per
     axis. At least 3 cells per axis so every interior stencil exists.
 
-    ``_rh`` holds 1/h_k at every face of axis k, in the stacked face shape
-    ``(dim, *cells)``: the operators scale a face array by it in place,
-    where a ``(dim, 1, ...)`` operand (``_h``) would send numpy's iterator
-    through short inner loops, about four times the cost at 64^2. 1/h is
-    exact for a power-of-two spacing, where the product has the quotient's
-    bits; any other spacing may move a product by one rounding.
+    ``_shift`` and ``_wall`` are the face layout (see :func:`_faces`), which
+    both stencil paths read; grids of up to ``_GATHER_MAX_CELLS`` cells also
+    keep its index tables (``_gather``).
+
+    ``_rh`` holds 1/h_k at every face of axis k, in the stacked face shape:
+    the operators scale a face array by it in place, where a
+    ``(dim, 1, ...)``-shaped operand would send numpy's iterator through
+    short inner loops, about four times the cost at 64^2. 1/h is exact for
+    a power-of-two spacing, where the product has the quotient's bits; any
+    other spacing may move a product by one rounding.
     """
 
     lengths: tuple[float, ...]
@@ -128,15 +116,13 @@ class Domain:
             raise ValueError(f"lengths must be positive and finite, got {self.lengths}")
         object.__setattr__(self, "_spacing",
                            tuple(L / n for L, n in zip(self.lengths, self.cells)))
-        # stencil shared by every operator (see _Axis), and the spacings
-        # shaped to broadcast over stacked face arrays
-        object.__setattr__(self, "_axes", tuple(_axis(self.dim, k)
-                                                for k in range(self.dim)))
-        object.__setattr__(self, "_h", np.reshape(self._spacing,
-                                                  (self.dim,) + (1,) * self.dim))
-        object.__setattr__(self, "_rh", np.broadcast_to(
-            1.0 / self._h, (self.dim,) + self.cells).copy())
-        object.__setattr__(self, "_gather", _gather(self._axes, self.cells)
+        # the face layout shared by every operator, and 1/h at face shape
+        shift, wall = _faces(self.cells)
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_wall", wall)
+        object.__setattr__(self, "_rh", np.repeat(1.0 / np.array(self._spacing),
+                                                  self.n_cells).reshape(-1, *self.cells))
+        object.__setattr__(self, "_gather", _gather(self.cells, shift, wall)
                            if self.n_cells <= _GATHER_MAX_CELLS else None)
         object.__setattr__(self, "_eigen", None)  # see _eigenbasis
 
@@ -213,23 +199,31 @@ def _check_on(f: Field, d: Domain) -> None:
 
 
 # Each array helper below takes an ``out`` array (a stacked face array,
-# see _Axis) and hands it to numpy, so a run's steps write into arrays they
+# see _faces) and hands it to numpy, so a run's steps write into arrays they
 # own (see stepper._Work); with ``out=None`` numpy allocates, which is what
 # the public operators get. The gather path's fancy-index reads allocate
 # either way: ``np.take(..., out=)`` is slower than them on grids that small.
 
 def _upper(vals: np.ndarray, d: Domain, out: np.ndarray | None = None) -> np.ndarray:
     """Upper neighbour of every cell along each axis, stacked on a leading
-    axis: ``out[k][c] = vals[c + e_k]``, and ``vals[c]`` itself on the upper
-    wall, so every face difference vanishes there."""
+    axis: ``out[k][c] = vals[c + s_k]`` in flat order (see :func:`_faces`),
+    and ``vals[c]`` itself on the upper wall, so every face difference
+    vanishes there."""
+    v = vals.reshape(-1)
     if d._gather is not None:
-        return vals.reshape(-1)[d._gather.upper]
-    return _upper_slices(vals, d._axes, out)
+        return v[d._gather.upper]
+    if out is None:
+        out = np.empty((d.dim,) + vals.shape, dtype=vals.dtype)
+    flat, n = out.reshape(-1), d.n_cells
+    for k, s in enumerate(d._shift):
+        flat[k * n:(k + 1) * n - s] = v[s:]
+    flat[d._wall] = v.take(d._wall, mode="wrap")   # wall face k*n + c: cell c
+    return out
 
 
 def _grad(vals: np.ndarray, d: Domain, out: np.ndarray | None = None) -> np.ndarray:
     """Face gradient, stacked per axis: entry ``[k][c]`` is
-    ``(vals[c + e_k] - vals[c]) / h_k`` on the face between c and c + e_k,
+    ``(vals[c + s_k] - vals[c]) / h_k`` on the face between c and c + s_k,
     zero on the upper wall."""
     g = np.subtract(_upper(vals, d, out), vals, out)
     return np.multiply(g, d._rh, g)
@@ -252,22 +246,24 @@ def _upwind_flux(u: np.ndarray, u_up: np.ndarray, w: np.ndarray,
 
 def _divergence(flux: np.ndarray, d: Domain, out: np.ndarray | None = None) -> np.ndarray:
     """Cell divergence of stacked face fluxes, ``flux[k][c]`` on the face
-    between c and c + e_k: sum over axes of (flux_k[c] - flux_k[c - e_k]) / h_k.
+    between c and c + s_k: sum over axes of (flux_k[c] - flux_k[c - s_k]) / h_k.
 
-    Both walls carry zero flux; the upper-wall entries of ``flux`` are zeroed
-    in place, so callers pass a temporary. The per-axis terms go into the
-    face array ``out`` and are summed into ``out[0]``, which is returned.
+    Both walls carry zero flux: the upper-wall entries of ``flux`` are zeroed
+    in place, so callers pass a temporary; the gathers read them as the first
+    layer's lower faces. The per-axis terms go into the face array ``out``
+    and are summed into ``out[0]``, which is returned.
     """
+    flat = flux.reshape(-1)
+    flat[d._wall] = 0.0
     if d._gather is not None:
-        flat = flux.reshape(-1)
-        flat[d._gather.wall] = 0.0
         div = np.subtract(flux, flat[d._gather.lower].reshape(flux.shape), out)
     else:
         div = np.empty_like(flux) if out is None else out
-        for _, _, f_lo, f_hi, f_last, f_first in d._axes:
-            flux[f_last] = 0.0
-            div[f_first] = flux[f_first]
-            np.subtract(flux[f_hi], flux[f_lo], out=div[f_hi])
+        dflat, n = div.reshape(-1), d.n_cells
+        for k, s in enumerate(d._shift):
+            lo, hi = k * n, (k + 1) * n
+            dflat[lo:lo + s] = flat[lo:lo + s]
+            np.subtract(flat[lo + s:hi], flat[lo:hi - s], dflat[lo + s:hi])
     div *= d._rh
     total = div[0]
     for k in range(1, d.dim):   # the axes in order, as add.reduce sums them
@@ -307,13 +303,16 @@ def _amin(x: np.ndarray) -> float:
 def _max_outflow(w: np.ndarray, d: Domain, out: np.ndarray) -> float:
     """Fastest rate at which the donor-cell flux drains a cell: the speeds
     out of each of its faces over h, summed, at the worst cell. Writes into
-    the face array ``out`` and over the face velocities ``w``."""
+    the face array ``out`` and over the face velocities ``w``, zeroing their
+    upper walls, which no cell drains through (see :func:`_divergence`)."""
     out = np.maximum(w, 0.0, out=out)
     w = np.minimum(w, 0.0, out=w)
-    for _, _, f_lo, f_hi, _, _ in d._axes:
+    flat, low, n = out.reshape(-1), w.reshape(-1), d.n_cells
+    low[d._wall] = 0.0
+    for k, (s, h) in enumerate(zip(d._shift, d.spacing)):
         # a negative speed on a cell's lower face drains the cell too
-        out[f_hi] -= w[f_lo]
-    out /= d._h
+        flat[k * n + s:(k + 1) * n] -= low[k * n:(k + 1) * n - s]
+        out[k] /= h
     total = out[0]
     for k in range(1, d.dim):   # the axes in order, as add.reduce sums them
         total += out[k]

@@ -4,14 +4,19 @@ The reference stencils here are deliberately written as plain loops over
 cells and faces, independent of the vectorized implementations they check.
 """
 
+import itertools
+import math
+import unittest.mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellerscope import (Domain, Field, GridShapeError, ModelParams,
-                         chemotactic_divergence, diffusive_divergence,
-                         integrate, laplacian_neumann)
+from kellerscope import (Domain, Field, GridShapeError, ModelParams, SimState,
+                         StepperConfig, chemotactic_divergence, diffusive_divergence,
+                         grid, integrate, laplacian_neumann, run, solve_helmholtz,
+                         stable_dt, step)
 from kellerscope.model import phi
 
 
@@ -388,3 +393,99 @@ def test_laplacian_integral_vanishes_on_random_field():
     g = Field(rng.standard_normal(64), d)
     out = laplacian_neumann(g, d)
     assert abs(integrate(out, d)) <= 1e-12 * np.sum(np.abs(g.values))
+
+
+# ------------------------------------------- face layout, both stencil paths
+
+@settings(max_examples=60)
+@given(shape=st.lists(st.integers(3, 9), min_size=1, max_size=3).map(tuple))
+def test_face_layout_matches_a_walk_over_multi_indices_property(shape):
+    # in any dimension, though Domain takes only 1 and 2: face [k][c] lies
+    # between c and its upper neighbour along k, c itself on the upper wall,
+    # and the face below it is a wall face on the first layer along k
+    n = math.prod(shape)
+    shift, wall = grid._faces(shape)
+    tables = grid._gather(shape, shift, wall)
+    upper, lower = tables.upper.reshape(-1), tables.lower
+    assert tables.upper.shape == (len(shape),) + shape
+    assert lower.shape == (len(shape) * n,)
+    flat = lambda idx: int(np.ravel_multi_index(idx, shape))
+    walk = []
+    for k in range(len(shape)):
+        step_k = tuple(int(j == k) for j in range(len(shape)))
+        assert shift[k] == flat(step_k)
+        for idx in itertools.product(*map(range, shape)):
+            face = k * n + flat(idx)
+            if idx[k] == shape[k] - 1:
+                walk.append(face)
+                assert upper[face] == flat(idx)
+            else:
+                assert upper[face] == flat(tuple(np.add(idx, step_k)))
+            if idx[k] == 0:
+                assert lower[face] in wall
+            else:
+                assert lower[face] == k * n + flat(tuple(np.subtract(idx, step_k)))
+    assert wall.tolist() == walk
+
+
+def _both_paths(lengths, cells):
+    """One box as two domains, whose stencils run through index gathers and
+    through contiguous shifts; a domain takes its path when it is built."""
+    paths = []
+    for most in (math.prod(cells), math.prod(cells) - 1):
+        with unittest.mock.patch.object(grid, "_GATHER_MAX_CELLS", most):
+            paths.append(Domain(lengths, cells))
+    assert paths[0]._gather is not None and paths[1]._gather is None
+    return paths
+
+
+@pytest.mark.parametrize("lengths, cells", [
+    ((1.0, 1.0), (40, 40)), ((1.0, 1.3), (33, 31)), ((1.0,), (2000,)),
+    ((1.0, 1.0), (7, 1100))], ids=["40x40", "33x31-of-1x1.3", "2000", "7x1100"])
+def test_both_stencil_paths_give_the_same_bytes(lengths, cells):
+    rng = np.random.default_rng(math.prod(cells))
+    u0, v0 = 0.1 + rng.random(cells), 0.1 + rng.random(cells)
+    w = rng.standard_normal((len(cells),) + cells)
+    cfg = StepperConfig(max_steps=12, observer_stride=5)
+    params = ModelParams(tau=1.0, chi=1.3, mu=1.0, k=0.7, p=1.0)
+
+    def results(d):
+        u, v = Field(u0, d), Field(v0, d)
+        ops = [laplacian_neumann(v, d), chemotactic_divergence(u, v, 1.3, d),
+               *(diffusive_divergence(u, ModelParams(p=p), d) for p in (0.0, 1.5))]
+        final = run(u, v, params, cfg).final
+        # the gradient alone, as the dt rule reads it, zero on the upper walls
+        return ([f.values.tobytes() for f in ops], grid._grad(v0, d).tobytes(),
+                stable_dt(u, v, params, d, cfg),
+                grid._max_outflow(w.copy(), d, np.empty_like(w)),
+                final.u.values.tobytes(), final.v.values.tobytes(), final.steps, final.t)
+
+    gathers, slices = map(results, _both_paths(lengths, cells))
+    assert gathers == slices
+
+
+@pytest.mark.parametrize("n", [12, 40], ids=["gathers-12x12", "slices-40x40"])
+@pytest.mark.parametrize("view", ["transposed", "negative-stride"])
+def test_operators_read_a_view_as_its_contiguous_copy(n, view):
+    # the face layout flattens the arrays it writes, which must therefore
+    # be the operators' own; inputs of any layout are only read
+    d = Domain((1.0, 1.3), (n, n))
+    assert (d._gather is None) == (n == 40)
+    rng = np.random.default_rng(n)
+    base = 0.1 + rng.random((2, n, n))
+    views = [a.T if view == "transposed" else a[:, ::-1] for a in base]
+    copies = [np.ascontiguousarray(a) for a in views]
+    assert not any(a.flags.c_contiguous for a in views)
+    params = ModelParams(tau=1.0, chi=1.3, mu=1.0, k=0.7, p=1.0)
+
+    def results(u0, v0):
+        u, v = Field(u0, d), Field(v0, d)
+        new = step(SimState(0.0, u, v), params, StepperConfig())
+        return [f.values.tobytes() for f in (
+            laplacian_neumann(v, d), diffusive_divergence(u, params, d),
+            chemotactic_divergence(u, v, 1.3, d), solve_helmholtz(u, 2.5, d, x0=v),
+            new.u, new.v)] + [new.t]
+
+    before = base.copy()
+    assert results(*views) == results(*copies)
+    assert base.tobytes() == before.tobytes()

@@ -319,10 +319,17 @@ def test_dt_rule_skips_the_outflow_only_above_enough_property(case):
 def test_max_outflow_in_place_matches_the_fresh_array_formula_property(case):
     _, g, params, d, _, _ = case
     w = params.chi * g
+    along = lambda k, a, b: (k,) + tuple(slice(a, b) if j == k else slice(None)
+                                         for j in range(d.dim))
+    for k in range(d.dim):
+        # an inflow on the upper walls, which no cell drains through
+        w[along(k, -1, None)] = -1.0
     out = np.maximum(w, 0.0)
-    for _, _, f_lo, f_hi, _, _ in d._axes:
-        out[f_hi] -= np.minimum(w[f_lo], 0.0)
-    want = float(np.add.reduce(out / d._h, axis=0).max())
+    for k in range(d.dim):
+        # faces [k][1 ..] drain through faces [k][.. n-2] below them
+        out[along(k, 1, None)] -= np.minimum(w[along(k, None, -1)], 0.0)
+    h = np.reshape(d.spacing, (d.dim,) + (1,) * d.dim)
+    want = float(np.add.reduce(out / h, axis=0).max())
     assert grid._max_outflow(w, d, np.empty_like(w)) == want
 
 

@@ -24,7 +24,8 @@ from .grid import (Domain, Field, HelmholtzError, chemotactic_divergence, integr
 from .ic import ICSpec, build_ic
 from .model import ModelParams, diffusive_divergence, homogeneous_steady_state
 from .snapshot import read_snapshot, write_snapshot
-from .stepper import ObserverSample, SimState, StepperConfig, run, run_state, step
+from .stepper import (ObserverSample, SimState, StepperConfig, _resolved, run,
+                      run_state, step)
 from .sweep import RegimeCell, RunRecord, check_workers, regime_map, run_sweep
 
 EXIT_OK = 0
@@ -93,17 +94,21 @@ def _ensure_out_dir(cfg: RunConfig, override: str | None) -> str:
 
 def cmd_run(cfg: RunConfig, out_dir: str | None = None,
             resume_path: str | None = None) -> int:
-    """Integrate one configuration; writes series.csv and final.snap."""
+    """Integrate one configuration; writes series.csv and final.snap.
+
+    A resumed run keeps the run's ``auto`` blow-up threshold: both paths
+    resolve it against the configured initial data."""
     out = _ensure_out_dir(cfg, out_dir)
+    u0, v0 = build_ic(cfg.ic, cfg.domain)
+    stepper_cfg = _resolved(cfg.stepper, float(u0.values.max()))
     if resume_path is not None:
         try:
             state = read_snapshot(resume_path, cfg.domain)
         except (OSError, ValueError) as exc:
             raise _CliError(f"cannot resume from {resume_path}: {exc}") from exc
-        result = run_state(state, cfg.params, cfg.stepper)
+        result = run_state(state, cfg.params, stepper_cfg)
     else:
-        u0, v0 = build_ic(cfg.ic, cfg.domain)
-        result = run(u0, v0, cfg.params, cfg.stepper)
+        result = run(u0, v0, cfg.params, stepper_cfg)
     _write_csv(os.path.join(out, "series.csv"), ObserverSample, result.series)
     try:
         write_snapshot(result.final, os.path.join(out, "final.snap"))

@@ -86,18 +86,16 @@ class StepperConfig:
 class _Carry(NamedTuple):
     """What a run knows about its current state between two steps: the
     one stencil pass of its signal, that gradient's per-axis maxima and the
-    extrema of its density and of its signal, each after its round-off clamp
-    (a clamp that fired leaves a minimum of 0). :func:`_carry_of` computes
-    it from a state's arrays; :func:`_step` returns the next one, and keeps
-    the signal's part as it is when the signal did not move."""
+    largest density. Both fields of the state are finite and nonnegative,
+    which was checked where the state entered or where the step that made it
+    made it. :func:`_carry_of` computes the carry from a state's arrays;
+    :func:`_step` returns the next one, and keeps the signal's part as it
+    is when the signal did not move."""
 
     grad: np.ndarray        # face gradient of v (see _stencil)
     lap: np.ndarray         # Laplacian of v
     g_max: list[float]      # per-axis max |grad v|, see _face_max
-    u_min: float
     u_max: float
-    v_lo: float
-    v_hi: float
 
 
 class _Work(NamedTuple):
@@ -248,18 +246,21 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
     every dt. Solver round-off may leave fields a hair below zero; values
     within -1e-13 of the field scale are clamped back to zero.
 
-    Raises ValueError for a state that is not running. A running state at
-    ``t_end`` (up to 1e-12 relative) comes back Finished and one that has
-    taken ``max_steps`` steps MaxSteps, each as it is; any other whose
-    density has a negative entry raises ValueError, the one validation of
-    the density per step, and one whose step the dt rule cannot make stable
-    at ``dt_min`` or above comes back DtFloor, as it is.
-    Everything the step reads about the state (the extrema of both fields,
-    the signal's gradient and Laplacian) is computed from its arrays on every
+    Raises ValueError for a state that is not running, and for one whose
+    fields are not both finite and nonnegative, as :func:`run_state` does
+    (see :func:`_carry_of`). A running state at ``t_end`` (up to 1e-12
+    relative) comes back Finished and one that has taken ``max_steps``
+    steps MaxSteps, each as it is, and one whose step the dt rule cannot
+    make stable at ``dt_min`` or above comes back DtFloor, as it is. A step
+    that leaves a field negative beyond rounding raises ValueError.
+    Everything the step reads about the state (the largest density, the
+    signal's gradient and Laplacian) is computed from its arrays on every
     call; only :func:`run_state` carries it from one step to the next. The
     new state's arrays are fresh, but for a signal the step left where it
     was, which is the given state's own.
     """
+    if state.status is not RunStatus.RUNNING:
+        raise ValueError(f"cannot step a state with status {state.status.value}")
     # overflow is legitimate anywhere in a step: it surfaces as a BlowUp status
     with np.errstate(over="ignore", invalid="ignore"):
         carry = _carry_of(state)
@@ -269,38 +270,44 @@ def step(state: SimState, params: ModelParams, cfg: StepperConfig) -> SimState:
 
 def _carry_of(state: SimState) -> _Carry:
     """The carry of a state, computed from its arrays. This is the only
-    place that does so: within a run, each step returns the next one."""
+    place that does so: within a run, each step returns the next one.
+
+    Raises ValueError unless both fields are finite and nonnegative: the
+    one check of a state that a step or a run starts from."""
     u, v, d = state.u.values, state.v.values, state.domain
+    for name, x in (("density", u), ("signal", v)):
+        lo, hi = _amin(x), _amax(x)
+        # a NaN extremum fails both comparisons
+        if not (0.0 <= lo and hi < math.inf):
+            raise ValueError(f"initial data must be finite and nonnegative, got a "
+                             f"{'negative' if lo < 0.0 else 'non-finite'} {name} "
+                             f"(min {lo!r}, max {hi!r})")
     g, lap = _stencil(v, d)
-    return _Carry(g, lap, _face_max(g), _amin(u), _amax(u), _amin(v), _amax(v))
+    return _Carry(g, lap, _face_max(g), _amax(u))
 
 
 def _step(state: SimState, old: _Carry, params: ModelParams,
           cfg: StepperConfig, work: _Work) -> tuple[SimState, _Carry]:
-    """:func:`step` from the carry ``old`` of ``state``, without the
-    ``np.errstate``, which the caller holds, and with ``cfg``'s blow-up
+    """:func:`step` of a running ``state`` from its carry ``old``, without
+    the ``np.errstate``, which the caller holds, and with ``cfg``'s blow-up
     threshold resolved (see :func:`_resolved`). Returns the new state with
-    its carry: the density's extrema after the clamp, so a negative entry
-    the clamp left is still rejected by the next step. A signal the solve left
-    where it was keeps the carry's stencil, maxima and extrema.
+    its carry. A field the round-off clamp left negative raises ValueError
+    here, unless the step ended BlowUp, so every state a step returns has
+    both fields finite and nonnegative, as the carry requires. A signal the
+    solve left where it was keeps the carry's stencil and maxima.
 
     Every full-size array the step makes is written into ``work``: the new
     signal into the slot that does not hold the carried stencil, the new
     density into the one that does not hold ``state.u``. Only a round-off
     clamp that fires and, on grids small enough for them, the stencil's
     index reads allocate."""
-    if state.status is not RunStatus.RUNNING:
-        raise ValueError(f"cannot step a state with status {state.status.value}")
     # the stop rules a state can meet before a step: a resumed finished run
     # stays finished, and a budget ends a run before its data is read
     if _finished(state.t, cfg):
         return replace(state, status=RunStatus.FINISHED), old
     if state.steps >= cfg.max_steps:
         return replace(state, status=RunStatus.MAX_STEPS), old
-    d = state.domain
-    u_old, v_old = state.u.values, state.v.values
-    if old.u_min < 0.0:
-        raise ValueError("cannot step a state with a negative density")
+    d, u_old, v_old = state.domain, state.u.values, state.v.values
     u_max = old.u_max
 
     dt_pre = _dt_limit(u_max, old.grad, old.g_max, params, d, cfg, cfg.dt_max,
@@ -330,8 +337,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
         try:
             # nonnegative fields make rhs >= 0, whose max needs no abs
             solved, g, lap = _solve_helmholtz(
-                rhs, _amax(rhs if old.v_lo >= 0.0 else np.abs(rhs, slot.s)),
-                params.tau / dt + 1.0, d, cfg.helmholtz_tol,
+                rhs, _amax(rhs), params.tau / dt + 1.0, d, cfg.helmholtz_tol,
                 cfg.helmholtz_maxiter, v_old, old[:2], slot)
         except HelmholtzError as exc:
             if not math.isfinite(exc.residual):
@@ -340,12 +346,11 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
                 return replace(state, t=state.t + dt, steps=state.steps + 1,
                                status=RunStatus.BLOWUP), old
             raise
-        if solved is v_old and old.v_lo >= 0.0:
-            # the warm start met the target and no clamp can fire: the carry
-            # still describes the signal, and the dt rule has the inputs it
-            # had before the solve
-            v_new, v_lo, v_hi, g_max = v_old, old.v_lo, old.v_hi, old.g_max
-            dt_pos = dt_pre
+        if solved is v_old:
+            # the warm start met the target: the carry still describes the
+            # signal, which was finite and nonnegative when it was made, and
+            # the dt rule has the inputs it had before the solve
+            v_new, v_lo, v_hi, g_max, dt_pos = v_old, 0.0, 0.0, old.g_max, dt_pre
         else:
             # the exact solve maps nonnegative data to a nonnegative signal;
             # residual noise may undershoot by up to the solve tolerance
@@ -380,17 +385,18 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     else:
         np.multiply(flux, dt, u_raw)
         u_raw += u_old
-    u_new, u_lo, sup_u_new = _clamp_roundoff(u_raw)
-    # a clamp that fired zeroed every negative entry, so the new minimum is 0
-    u_extrema = (u_lo, sup_u_new) if u_new is u_raw else (0.0, max(sup_u_new, 0.0))
-    v_extrema = (v_lo, v_hi) if v_new is solved else (0.0, max(v_hi, 0.0))
+    u_new, u_lo, u_hi = _clamp_roundoff(u_raw)
 
     t_new = state.t + dt
     status = RunStatus.RUNNING
-    if not all(map(math.isfinite, (u_lo, sup_u_new, v_lo, v_hi))):
+    # a NaN or an infinite entry shows up in an extremum
+    if not (all(map(math.isfinite, (u_lo, v_lo, v_hi))) and u_hi <= cfg.blowup_threshold):
         status = RunStatus.BLOWUP
-    elif sup_u_new > cfg.blowup_threshold:
-        status = RunStatus.BLOWUP
+    elif u_lo < 0.0 or v_lo < 0.0:
+        # beyond the clamp's band: the step broke the scheme's positivity
+        name, lo = ("density", u_lo) if u_lo < 0.0 else ("signal", v_lo)
+        raise ValueError(f"the step to t = {t_new!r} left a negative {name} "
+                         f"beyond rounding (min {lo!r})")
     elif _finished(t_new, cfg):
         status = RunStatus.FINISHED
     # built past the dataclass __init__, which costs a few percent of a
@@ -398,7 +404,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     new = object.__new__(SimState)
     new.__dict__.update(t=t_new, u=Field._wrap(u_new, d), v=Field._wrap(v_new, d),
                         steps=state.steps + 1, status=status)
-    return new, _Carry(g, lap, g_max, *u_extrema, *v_extrema)
+    return new, _Carry(g, lap, g_max, u_hi)
 
 
 def _finished(t: float, cfg: StepperConfig) -> bool:
@@ -414,12 +420,12 @@ def _clamp_roundoff(vals: np.ndarray, band: float = 1.0e-13
     (relative to the field scale); leave anything larger alone.
 
     Returns the values (the input array itself when nothing was clamped)
-    with the minimum and maximum of the input; a NaN or infinite entry shows
-    up in one of the two.
+    with their minimum and maximum: a NaN or infinite entry shows up in one
+    of the two, and a negative minimum lies beyond the band.
     """
     lo, hi = _amin(vals), _amax(vals)
-    if lo < 0.0 and lo >= -band * max(1.0, hi, -lo):
-        vals = np.maximum(vals, 0.0)
+    if -math.inf < lo < 0.0 and lo >= -band * max(1.0, hi, -lo):
+        vals, lo, hi = np.maximum(vals, 0.0), 0.0, max(hi, 0.0)
     return vals, lo, hi
 
 
@@ -458,11 +464,11 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
     resumed run is the run continued, because every stop rule, the
     ``max_steps`` budget included, reads the state's own clock and count.
 
-    Raises ValueError unless both fields are finite and nonnegative: the one
-    check of the data a run starts from, fresh or resumed, made on the
-    extrema of the starting state's carry. That carry is computed from its
-    arrays once, and each step hands the next its own (see
-    :class:`_Carry`); nothing outside the loop sees it. The whole loop,
+    Raises ValueError unless both fields are finite and nonnegative, the
+    check :func:`step` makes too (see :func:`_carry_of`), and when a step
+    leaves a field negative beyond rounding. The starting state's carry is
+    computed from its arrays once, and each step hands the next its own
+    (see :class:`_Carry`); nothing outside the loop sees it. The whole loop,
     observer samples included, runs under one ``np.errstate`` that lets
     overflow through silently, as :func:`step` does for one step.
     """
@@ -480,10 +486,6 @@ def run_state(state: SimState, params: ModelParams, cfg: StepperConfig,
     work = _work(state.domain)
     with np.errstate(over="ignore", invalid="ignore"):
         carry = _carry_of(state)
-        # a NaN extremum fails both comparisons
-        if not (0.0 <= carry.u_min and carry.u_max < math.inf
-                and 0.0 <= carry.v_lo and carry.v_hi < math.inf):
-            raise ValueError("initial data must be finite and nonnegative")
         cfg = _resolved(cfg, carry.u_max)
         observe(state, 0.0)
         while state.status is RunStatus.RUNNING:

@@ -10,6 +10,7 @@ blowing-up replica falsifies a boundedness claim for that cell.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
@@ -50,10 +51,10 @@ class SweepSpec:
                 raise ValueError(f"{name} must be strictly ascending, got {vals}")
             if name != "p_values" and vals[0] <= 0.0:
                 raise ValueError(f"{name} must be positive, got {vals}")
-        if self.repeat < 1:
-            raise ValueError(f"repeat must be >= 1, got {self.repeat}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("repeat", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or not value >= low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.gamma0 is not None and not self.gamma0 > 1.0:
             raise ValueError(f"gamma0 must exceed 1, got {self.gamma0}")
         if not self.C_reg > 0.0:

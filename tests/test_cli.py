@@ -363,6 +363,53 @@ def test_resume_continues_run(tmp_path):
     assert np.allclose(a.u.values, b.u.values, rtol=1e-12, atol=1e-15)
 
 
+AUTO_CONFIG = """\
+[domain]
+dim = 1
+lengths = 1.0
+cells = 64
+
+[model]
+tau = 1.0
+chi = 0.5
+mu = 1.0
+reaction = off
+
+[stepper]
+t_end = 0.02
+blowup_threshold = auto
+
+[ic]
+name = gaussian_bump
+amplitude = 4.0
+width = 0.05
+"""
+
+
+def test_resume_keeps_the_auto_threshold(tmp_path, monkeypatch):
+    # the auto threshold is 1e6 * max(1, sup u0) of the configured initial
+    # data, on the resumed run as on the fresh one: the bump has spread out
+    # by t = 0.02, so its density's sup there is about a third of u0's
+    from kellerscope import stepper
+    thresholds = {}
+    inner = stepper._step
+
+    def spy(state, old, params, cfg, work):
+        thresholds.setdefault(label, set()).add(cfg.blowup_threshold)
+        return inner(state, old, params, cfg, work)
+
+    monkeypatch.setattr(stepper, "_step", spy)
+    half = write(tmp_path, AUTO_CONFIG, "half.cfg")
+    full = write(tmp_path, AUTO_CONFIG.replace("t_end = 0.02", "t_end = 0.04"))
+    for label, argv in (("half", ["--config", half]), ("fresh", ["--config", full]),
+                        ("resumed", ["--config", full, "--resume",
+                                     str(tmp_path / "half" / "final.snap")])):
+        assert main(["run", *argv, "--out", str(tmp_path / label)]) != 10
+    sup_u0 = float(read_csv(tmp_path / "half" / "series.csv")[0]["sup_u"])
+    assert sup_u0 > 3.0
+    assert thresholds == {label: {1e6 * sup_u0} for label in ("half", "fresh", "resumed")}
+
+
 @pytest.mark.parametrize("max_steps", [None, 50])
 def test_resuming_a_finished_run_changes_nothing(tmp_path, capsys, max_steps):
     # t_end = 0.05 at dt 1e-3 takes 50 steps: with max_steps = 50 the run

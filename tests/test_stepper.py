@@ -834,10 +834,6 @@ def _spy_step(monkeypatch, state, p, cfg):
     return new, {path for path, hit in taken.items() if hit}
 
 
-def _rebuilt(state):
-    return SimState(state.t, state.u, state.v, state.steps)
-
-
 # the paths each case's first step takes; the chemotaxis of most cases is
 # strong enough to trip the dt rule's drain check
 CARRY_PATHS = {
@@ -874,20 +870,29 @@ def test_carried_stencil_is_invisible(monkeypatch, name):
     assert np.array_equal(carried.v.values, fresh.v.values)
 
 
-def test_carried_negative_density_is_rejected(monkeypatch):
+def test_a_step_that_leaves_a_negative_density_raises(monkeypatch):
     # the dt rule without its drain branch lets this step empty cell 1 and
     # overshoot: a negative density far beyond the round-off clamp's band,
-    # which the next step and a run from it must reject
+    # which the step that makes it rejects, alone and inside a run
     p, cfg, s0 = _carry_case("drain-1d")
     monkeypatch.setattr(stepper, "_max_outflow", lambda *args: 0.0)
-    s1 = step(s0, p, cfg)
-    monkeypatch.undo()
-    assert s1.u.values.min() < -1e-3
-    for state in (s1, _rebuilt(s1)):
-        with pytest.raises(ValueError, match="negative density"):
-            step(state, p, cfg)
-        with pytest.raises(ValueError, match="nonnegative"):
-            run_state(state, p, cfg)
+    for take in (step, run_state):
+        with pytest.raises(ValueError, match=r"left a negative density beyond "
+                                             r"rounding \(min -0\.0[0-9]"):
+            take(s0, p, cfg)
+
+
+def test_a_step_that_leaves_a_negative_signal_raises(monkeypatch):
+    # without the signal's round-off clamp, this step's solve leaves
+    # rounding-level negatives far from the spike, which the step rejects
+    p, cfg, s0 = _carry_case("clamp-2d")
+    clamp = stepper._clamp_roundoff
+    monkeypatch.setattr(stepper, "_clamp_roundoff",
+                        lambda vals, band=None: clamp(vals) if band is None
+                        else clamp(vals, 0.0))
+    for take in (step, run_state):
+        with pytest.raises(ValueError, match="left a negative signal beyond rounding"):
+            take(s0, p, cfg)
 
 
 def test_unmoved_signal_keeps_its_carry(monkeypatch):
@@ -913,22 +918,27 @@ def test_unmoved_signal_keeps_its_carry(monkeypatch):
     assert bands == [1.0e-13] * final.steps
 
 
-def test_negative_signal_entries_get_the_full_solve(monkeypatch):
-    # step() checks only the density, so a built state's signal may hold
-    # negatives: a rounding-level one is clamped even when the solve keeps
-    # its warm start, and a large one is solved against max|rhs|
+@pytest.mark.parametrize("name, cells, value", [
+    ("signal", [1], -1e-10), ("signal", slice(None), -1.0),
+    ("density", [2], np.nan), ("density", [0], np.inf),
+    ("signal", [3], np.nan), ("signal", [1], np.inf)],
+    ids=["v-noise", "v-negative", "u-nan", "u-inf", "v-nan", "v-inf"])
+def test_step_rejects_the_states_a_run_rejects(name, cells, value):
+    # step() and run_state() accept exactly the same states: finite and
+    # nonnegative fields, a rounding-level negative signal entry included
     d = Domain((1.0,), (4,))
+    fields = {"density": np.zeros(d.shape), "signal": np.zeros(d.shape)}
+    fields[name][cells] = value
+    state = SimState(0.0, Field(fields["density"], d), Field(fields["signal"], d))
     p = ModelParams(tau=1.0, chi=1.0, mu=1.0)
-    u = Field.constant(d, 0.0)
-    noise = np.zeros(d.shape)
-    noise[1] = -1e-10
     cfg = StepperConfig(dt_init=1e-12, dt_min=1e-13, dt_max=1e-12)
-    new, taken = _spy_step(monkeypatch, SimState(0.0, u, Field(noise, d)), p, cfg)
-    assert taken == {"unmoved", "v-clamp"}
-    assert np.all(new.v.values == 0.0)
-    new = step(SimState(0.0, u, Field.constant(d, -1.0)), p, StepperConfig())
-    c = p.tau / new.t
-    assert np.allclose(new.v.values, -c / (c + 1.0), rtol=1e-12, atol=0.0)
+    errors = []
+    for take in (step, run_state):
+        with pytest.raises(ValueError, match=f"^initial data must be finite and "
+                                             f"nonnegative, got a .* {name} ") as exc:
+            take(state, p, cfg)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 def _edit_case(d):

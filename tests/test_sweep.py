@@ -86,6 +86,16 @@ def test_sweep_spec_validation():
         SweepSpec(repeat=0)
 
 
+@pytest.mark.parametrize("name, value", [("repeat", 2.0), ("repeat", "2"),
+                                         ("seed", 1.5), ("seed", 3.0)])
+def test_sweep_spec_counts_must_be_integers(name, value):
+    # a config file's int parser already refuses both; a spec built in code
+    # refuses them too, rather than failing inside run_sweep or its cells
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        SweepSpec(**{name: value})
+    assert getattr(SweepSpec(**{name: np.int64(2)}), name) == 2
+
+
 def test_linear_family_sweeps_p_zero_alone():
     # ModelParams runs every linear-family cell with p = 0, so a swept p
     # would label a p = 0 run; the canonical family takes any p. The rule

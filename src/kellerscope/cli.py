@@ -144,7 +144,7 @@ def cmd_sweep(cfg: RunConfig, workers: int, out_dir: str | None = None) -> int:
 
 
 def cmd_theta0(gamma0: float, chi: float, c_reg: float) -> int:
-    """Print 'gamma0,chi,C_reg,eta_star,mu_min,theta0' on one CSV row."""
+    """Print 'gamma0,chi,c_reg,eta_star,mu_min,theta0' on one CSV row."""
     th, eta_star = theta0(gamma0, chi, c_reg)
     mu_min = mu_threshold(gamma0, eta_star, chi, c_reg)
     print(",".join([_g17(gamma0), _g17(chi), _g17(c_reg),

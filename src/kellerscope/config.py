@@ -37,8 +37,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """Each section's object; a sweep runs this config over ``sweep``'s grid.
-    The one rule across sections: a linear-family model runs every cell at
-    p = 0, so a swept p would mislabel its runs and must be ``(0.0,)``."""
+    The one rule across sections: a linear-family model requires p = 0, in
+    every cell too, so its swept p must be ``(0.0,)``."""
 
     domain: Domain
     params: ModelParams
@@ -91,10 +91,6 @@ _PARSERS = {
     bool: _onoff,
 }
 
-# Config keys whose field has another name; every other key is the name of
-# its field on the object its section builds.
-_RENAMED = {"reaction": "reaction_on", "c_reg": "C_reg"}
-
 
 def _domain(dim: int = 1, lengths: tuple[float, ...] = (1.0,),
             cells: tuple[int, ...] = (64,)) -> Domain:
@@ -127,24 +123,21 @@ def _parser(hint):
 
 
 def _keys(ctor) -> dict:
-    """key -> (field, parser) for each parameter of ``ctor`` that has a text
-    form, in signature order; the others (a RunConfig's domain, ...) are
-    not keys."""
+    """key -> parser for each parameter of ``ctor`` that has a text form, in
+    signature order; the others (a RunConfig's domain, ...) are not keys."""
     hints = typing.get_type_hints(ctor)
-    key_of = {field: key for key, field in _RENAMED.items()}
-    parsers = {name: _parser(hints[name]) for name in inspect.signature(ctor).parameters}
-    return {key_of.get(name, name): (name, parse)
-            for name, parse in parsers.items() if parse is not None}
+    parsers = {key: _parser(hints[key]) for key in inspect.signature(ctor).parameters}
+    return {key: parse for key, parse in parsers.items() if parse is not None}
 
 
-# section -> key -> (field, parser), resolved once
+# section -> key -> parser, resolved once
 _SCHEMA = {section: _keys(ctor) for section, ctor in _SECTIONS.items()}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config text; raises ConfigError."""
     problems: list[tuple[int, str]] = []
-    # section -> field -> its value, and the line that set it
+    # section -> key -> its value, and the line that set it
     values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
     lines: dict[str, dict[str, int]] = {s: {} for s in _SCHEMA}
     section = None
@@ -169,15 +162,14 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCHEMA[section]:
             problems.append((lineno, f"unknown key '{key}' in section [{section}]"))
             continue
-        field, parse = _SCHEMA[section][key]
-        if field in lines[section]:
+        if key in lines[section]:
             problems.append(
                 (lineno, f"duplicate key '{key}' in section [{section}] "
-                         f"(first set on line {lines[section][field]})"))
+                         f"(first set on line {lines[section][key]})"))
             continue
-        lines[section][field] = lineno
+        lines[section][key] = lineno
         try:
-            values[section][field] = parse(val)
+            values[section][key] = _SCHEMA[section][key](val)
         except ValueError as exc:
             problems.append((lineno, f"bad value for '{key}': {exc}"))
     if problems:
@@ -187,7 +179,7 @@ def parse_config(text: str) -> RunConfig:
         try:
             return _SECTIONS[section](**values[section], **parts)
         except ValueError as exc:
-            # constraint messages start with the offending field name: name its
+            # constraint messages start with the offending key: name its
             # line, in any section, if set, else the section's last (0: none)
             first = str(exc).split()[0] if str(exc) else ""
             owner = next((s for s in (section, *lines) if first in lines[s]), section)
@@ -236,7 +228,6 @@ def format_config(cfg: RunConfig) -> str:
     out = []
     for section, keys in _SCHEMA.items():
         out.append(f"[{section}]")
-        out.extend(f"{key} = {fmt(getattr(owners[section], field))}"
-                   for key, (field, _) in keys.items())
+        out.extend(f"{key} = {fmt(getattr(owners[section], key))}" for key in keys)
         out.append("")
     return "\n".join(out)

@@ -40,40 +40,40 @@ class RunOutcome(str, enum.Enum):
 C2 = 0.25
 
 
-def mu_threshold(gamma: float, eta: float, chi: float, C_reg: float) -> float:
-    """Damping level eta + c2 * C_reg * eta**(-gamma) * chi**(gamma+1),
-    evaluated as eta + c2 * C_reg * chi * (chi/eta)**gamma so that a large
+def mu_threshold(gamma: float, eta: float, chi: float, c_reg: float) -> float:
+    """Damping level eta + c2 * c_reg * eta**(-gamma) * chi**(gamma+1),
+    evaluated as eta + c2 * c_reg * chi * (chi/eta)**gamma so that a large
     chi near its optimal eta does not overflow."""
     if not gamma > 1.0:
         raise ValueError(f"gamma must exceed 1, got {gamma}")
-    for name, val in (("eta", eta), ("chi", chi), ("C_reg", C_reg)):
+    for name, val in (("eta", eta), ("chi", chi), ("c_reg", c_reg)):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive, got {val}")
-    return eta + C2 * C_reg * chi * (chi / eta)**gamma
+    return eta + C2 * c_reg * chi * (chi / eta)**gamma
 
 
-def theta0(gamma0: float, chi: float, C_reg: float) -> tuple[float, float]:
+def theta0(gamma0: float, chi: float, c_reg: float) -> tuple[float, float]:
     """Boundedness threshold for the sensitivity-to-damping ratio chi/mu.
 
-    The minimum of h(eta) = eta + c2*C_reg*eta**(-gamma0)*chi**(gamma0+1)
+    The minimum of h(eta) = eta + c2*c_reg*eta**(-gamma0)*chi**(gamma0+1)
     over eta > 0 has the closed form
 
-        eta* = (gamma0 * c2 * C_reg)**(1/(gamma0+1)) * chi,
+        eta* = (gamma0 * c2 * c_reg)**(1/(gamma0+1)) * chi,
         h(eta*) = eta* * (1 + 1/gamma0),
 
     and theta0 returns (chi / h(eta*), eta*). theta0 is scale-free in chi.
     Raises ValueError when eta* or h(eta*) is not finite.
     """
-    for name, val in (("gamma0", gamma0), ("chi", chi), ("C_reg", C_reg)):
+    for name, val in (("gamma0", gamma0), ("chi", chi), ("c_reg", c_reg)):
         if not val > 0.0:
             raise ValueError(f"{name} must be positive, got {val}")
     if not 1.0 < gamma0 < math.inf:
         raise ValueError(f"gamma0 must be finite and exceed 1, got {gamma0}")
-    eta_star = (gamma0 * C2 * C_reg) ** (1.0 / (gamma0 + 1.0)) * chi
+    eta_star = (gamma0 * C2 * c_reg) ** (1.0 / (gamma0 + 1.0)) * chi
     h_star = eta_star * (1.0 + 1.0 / gamma0)
     if not (math.isfinite(eta_star) and math.isfinite(h_star)):
         raise ValueError(f"threshold not finite at gamma0={gamma0!r}, chi={chi!r}, "
-                         f"C_reg={C_reg!r}: eta*={eta_star!r}, h(eta*)={h_star!r}")
+                         f"c_reg={c_reg!r}: eta*={eta_star!r}, h(eta*)={h_star!r}")
     return chi / h_star, eta_star
 
 

@@ -34,9 +34,9 @@ class ModelParams:
     mu      quadratic crowding coefficient of the growth law, > 0
     a       linear growth rate, >= 0
     k       diffusivity scale, > 0
-    p       diffusivity exponent (canonical family)
+    p       diffusivity exponent (canonical family); 0 under linear
     phi_family   diffusivity family selector
-    reaction_on  when False the growth law is switched off entirely (g == 0);
+    reaction     when False the growth law is switched off entirely (g == 0);
                  this is how "no source" runs are expressed since mu must
                  stay positive.
     """
@@ -48,12 +48,12 @@ class ModelParams:
     k: float = 1.0
     p: float = 0.0
     phi_family: PhiFamily = PhiFamily.CANONICAL
-    reaction_on: bool = True
+    reaction: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "phi_family", PhiFamily(self.phi_family))
-        if self.phi_family is PhiFamily.LINEAR:
-            object.__setattr__(self, "p", 0.0)
+        if self.phi_family is PhiFamily.LINEAR and self.p != 0.0:
+            raise ValueError(f"p must be 0.0 under phi_family = linear, got {self.p}")
         for name in ("tau", "chi", "mu", "a", "k", "p"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

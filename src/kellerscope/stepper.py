@@ -210,7 +210,7 @@ def _dt_limit(u_max: float, g: np.ndarray, g_max: list[float],
         rate += w_max / h
         advection += w_max / h
     drain = rate + advection   # bounds diffusion plus outflow out of any cell
-    if params.reaction_on:
+    if params.reaction:
         rate += params.a + 2.0 * params.mu * u_max
     if cfg.safety * drain > rate and cfg.safety / (rate + advection) < cap:
         rate += max(0.0, _max_outflow(np.multiply(g, params.chi, w), d, out)
@@ -374,7 +374,7 @@ def _step(state: SimState, old: _Carry, params: ModelParams,
     # the same operations as (u_old + dt * (flux + a * u_old)) / (1 + dt * mu
     # * u_old), in place; the solve is done with its right-hand side
     u_raw = work.u[u_old is work.u[0]]
-    if params.reaction_on:
+    if params.reaction:
         np.multiply(u_old, params.a, u_raw)
         u_raw += flux
         u_raw *= dt

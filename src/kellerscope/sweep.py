@@ -39,7 +39,7 @@ class SweepSpec:
     repeat: int = 1
     seed: int = 0
     gamma0: float | None = None   # None: domain dimension + 1, floored at 3
-    C_reg: float = 1.0
+    c_reg: float = 1.0
 
     def __post_init__(self):
         for name in ("chi_values", "mu_values", "p_values"):
@@ -57,8 +57,8 @@ class SweepSpec:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.gamma0 is not None and not self.gamma0 > 1.0:
             raise ValueError(f"gamma0 must exceed 1, got {self.gamma0}")
-        if not self.C_reg > 0.0:
-            raise ValueError(f"C_reg must be positive, got {self.C_reg}")
+        if not self.c_reg > 0.0:
+            raise ValueError(f"c_reg must be positive, got {self.c_reg}")
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,9 @@ def _execute(task: _Task) -> RunRecord:
     prediction = TheoryRegime.CRITICAL_UNDETERMINED
     start = time.perf_counter()
     try:
-        # a threshold that is not finite (chi = C_reg = 1e300) is an error cell
+        # a threshold that is not finite (chi = c_reg = 1e300) is an error cell
         gamma0 = spec.gamma0 or float(max(2, cfg.domain.dim) + 1)   # None: auto
-        theta_est, _ = theta0(gamma0, task.chi, spec.C_reg)
+        theta_est, _ = theta0(gamma0, task.chi, spec.c_reg)
         prediction = classify_theory(task.chi, task.mu, theta_est)
         params = replace(cfg.params, chi=task.chi, mu=task.mu, p=task.p)
         rng = np.random.default_rng([spec.seed, task.index])

@@ -96,7 +96,7 @@ def _random_case(seed):
     family = "linear" if (p_exp == 0 and rng.random() < 0.5) else "canonical"
     reaction = bool(rng.random() < 0.85)
     params = ModelParams(tau=tau, chi=chi, mu=mu, a=a, k=k, p=p_exp,
-                         phi_family=family, reaction_on=reaction)
+                         phi_family=family, reaction=reaction)
     if seed % 2:
         domain = Domain((1.0,), (24,))
     else:
@@ -163,7 +163,7 @@ def test_criterion_4_mass_bound():
             masses = np.array([s.mass for s in res.series])
             times = np.array([s.t for s in res.series])
             m0 = masses[0]
-            if params.reaction_on:
+            if params.reaction:
                 cap = max(m0, params.a * domain.measure / params.mu)
                 a_eff, mu_eff = params.a, params.mu
             else:
@@ -194,7 +194,7 @@ def test_criterion_5_conservation_reaction_off():
         for domain, dt in ((Domain((1.0,), (32,)), 2e-5),
                            (Domain((1.0, 1.0), (12, 12)), 5e-5)):
             p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.0, k=0.5,
-                            phi_family="linear", reaction_on=False)
+                            phi_family="linear", reaction=False)
             u0, v0 = build_ic(ICSpec("gaussian_bump", 1.0, 0.12), domain)
             cfg = StepperConfig(dt_init=dt, dt_min=dt, dt_max=dt,
                                 t_end=10_000 * dt, observer_stride=500,
@@ -272,7 +272,7 @@ def test_criterion_8_blowup_detector_fires():
         # off, supercritical concentrated mass on a 64^2 grid
         d = Domain((1.0, 1.0), (64, 64))
         p = ModelParams(tau=1.0, chi=8.0, mu=1.0, a=0.0, k=1.0,
-                        phi_family="linear", reaction_on=False)
+                        phi_family="linear", reaction=False)
         u0, v0 = build_ic(ICSpec("gaussian_bump", 30.0, 0.25), d)
         assert integrate(u0, d) > 10.0    # far above the critical mass
         cfg = StepperConfig(dt_init=1e-5, dt_min=1e-10, dt_max=1e-3,

@@ -156,6 +156,35 @@ def test_theta0_row_at_huge_chi_is_finite(capsys):
     assert row[4] == pytest.approx(row[1] / row[5], rel=1e-12)
 
 
+def test_theta0_reports_a_bad_c_reg_by_its_argument_name(capsys):
+    assert main(["theta0", "3", "1", "0"]) == 10
+    assert capsys.readouterr().err == "error: c_reg must be positive, got 0.0\n"
+
+
+@pytest.mark.parametrize("command, clash, message", [
+    ("run", None, "cannot create output directory {out}: "),
+    ("run", "series.csv", "cannot write {out}/series.csv: "),
+    ("run", "final.snap", "cannot write snapshot: "),
+    ("sweep", "records.csv", "cannot write {out}/records.csv: "),
+], ids=["out-is-a-file", "series.csv", "final.snap", "records.csv"])
+def test_a_failed_write_exits_ten_with_one_error_line(tmp_path, capsys, command, clash,
+                                                      message):
+    # a file where --out names a directory, or a directory where the command
+    # writes a file; root ignores file modes, so no test here rests on them
+    cfg = write(tmp_path, STEADY_CONFIG)
+    out = tmp_path / "o"
+    if clash is None:
+        out.write_text("")
+    else:
+        (out / clash).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 10
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(out=out))
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    if clash == "final.snap":   # the series is written, and no temporary is left
+        assert sorted(os.listdir(out)) == ["final.snap", "series.csv"]
+
+
 def test_run_overflow_exits_ten_with_one_error_line(tmp_path, capsys):
     # phi(1e200) = (1 + 1e200)**2 overflows a float in the dt rule
     text = (STEADY_CONFIG.replace("amplitude = 0.5", "amplitude = 1e200")

@@ -68,7 +68,7 @@ def test_minimal_config_uses_documented_defaults():
     assert cfg.domain.cells == (64,)
     assert cfg.params.tau == 1.0
     assert cfg.params.phi_family is PhiFamily.CANONICAL
-    assert cfg.params.reaction_on is True
+    assert cfg.params.reaction is True
     assert cfg.stepper.blowup_threshold is None      # resolved from u0 later
     assert cfg.ic.name is ICName.CONSTANT
     assert cfg.out_dir == "out"
@@ -139,10 +139,11 @@ def test_full_config_round_trip():
     assert cfg.sweep.mu_values == (1.0, 2.0, 4.0)
     again = parse_config(format_config(cfg))
     assert again == cfg
-    # the renamed keys and the other enum value go round the trip too
+    # off and the other enum value go round the trip too; linear takes p = 0
     off = parse_config(FULL.replace("reaction = on", "reaction = off")
-                       .replace("phi_family = canonical", "phi_family = linear"))
-    assert off.params.reaction_on is False
+                       .replace("phi_family = canonical", "phi_family = linear")
+                       .replace("p = 1.5", "p = 0.0"))
+    assert off.params.reaction is False
     assert off.params.phi_family is PhiFamily.LINEAR
     assert parse_config(format_config(off)) == off
 
@@ -169,7 +170,12 @@ def test_constraint_error_names_key_and_line():
                             ("[stepper]\nhelmholtz_maxiter = -1\nt_end = 3.0\n",
                              2, "helmholtz_maxiter"),
                             ("[stepper]\nt_end = 3.0\nblowup_threshold = 1.0\n",
-                             3, "blowup_threshold")):
+                             3, "blowup_threshold"),
+                            # the message names the key as typed, on its line
+                            ("[model]\np = 2.0\nphi_family = linear\n", 2,
+                             "p must be 0.0 under phi_family = linear, got 2.0"),
+                            ("[sweep]\nc_reg = 0\nseed = 3\n", 2,
+                             "c_reg must be positive, got 0.0")):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert any(ln == line and key in msg for ln, msg in err.value.problems), text
@@ -184,7 +190,7 @@ def test_constraint_error_names_key_and_line():
     # a failed [model] must not hide the sweep's own problem
     ("[model]\nmu = -1\n[sweep]\nrepeat = 0\n", [2, 4]),
     ("[sweep]\ngamma0 = 0.5\n", [2]),
-    # every linear-family cell runs p = 0, whatever p the sweep would record
+    # a linear-family model requires p = 0, in every cell too
     ("[model]\nphi_family = linear\n[sweep]\nseed = 3\np_values = 0.0, 2.0\n", [5]),
     # a negative seed would fail every cell at run time
     ("[sweep]\nrepeat = 2\nseed = -1\n", [3]),
@@ -206,7 +212,7 @@ def test_the_rule_across_sections_names_its_sweep_line():
         (5, "[sweep] p_values must be 0.0 under phi_family = linear, got (0.0, 2.0)")]
     # the [sweep] section builds its own keys alone
     assert [f.name for f in fields(SweepSpec)] == [
-        "chi_values", "mu_values", "p_values", "repeat", "seed", "gamma0", "C_reg"]
+        "chi_values", "mu_values", "p_values", "repeat", "seed", "gamma0", "c_reg"]
 
 
 def test_duplicate_key_is_an_error_not_last_wins():
@@ -343,10 +349,12 @@ def run_configs(draw):
     dim = draw(st.sampled_from([1, 2]))
     domain = Domain(tuple(draw(st.floats(1e-3, 1e3)) for _ in range(dim)),
                     tuple(draw(st.integers(3, 12)) for _ in range(dim)))
+    # a linear-family model takes p = 0 alone
+    family = draw(st.sampled_from(PhiFamily))
     params = ModelParams(
         tau=draw(_POS), chi=draw(_POS), mu=draw(_POS), a=draw(_NONNEG),
-        k=draw(_POS), p=draw(_NONNEG),
-        phi_family=draw(st.sampled_from(PhiFamily)), reaction_on=draw(st.booleans()))
+        k=draw(_POS), p=0.0 if family is PhiFamily.LINEAR else draw(_NONNEG),
+        phi_family=family, reaction=draw(st.booleans()))
     dt_min, dt_init, dt_max = sorted(draw(st.lists(_POS, min_size=3, max_size=3)))
     stepper = StepperConfig(
         dt_init=dt_init, dt_min=dt_min, dt_max=dt_max,
@@ -364,7 +372,7 @@ def run_configs(draw):
         chi_values=draw(_ascending(_POS)), mu_values=draw(_ascending(_POS)),
         p_values=p_values, repeat=draw(st.integers(1, 100)),
         seed=draw(st.integers(0, 2**63)), gamma0=draw(st.none() | _ABOVE_ONE),
-        C_reg=draw(_POS))
+        c_reg=draw(_POS))
     # the format has no escapes: '#' starts a comment, a line break ends the
     # value and the value is stripped, so some of these cannot be written
     out_dir = draw(st.text(string.ascii_letters + string.digits + "_-./#= \t\n\r\x85",

@@ -106,8 +106,8 @@ def test_mu_threshold_chi_limit_and_linearity():
 
 
 def test_mu_threshold_rejects_bad_arguments():
-    for bad in (dict(gamma=1.0), dict(eta=0.0), dict(chi=-1.0), dict(C_reg=0.0)):
-        kw = dict(gamma=2.0, eta=1.0, chi=1.0, C_reg=1.0)
+    for bad in (dict(gamma=1.0), dict(eta=0.0), dict(chi=-1.0), dict(c_reg=0.0)):
+        kw = dict(gamma=2.0, eta=1.0, chi=1.0, c_reg=1.0)
         kw.update(bad)
         with pytest.raises(ValueError):
             mu_threshold(**kw)
@@ -285,7 +285,7 @@ def test_estimate_c_reg_is_invariant_to_a_shift_of_every_time():
 
 def test_estimate_c_reg_positive_on_bump_run():
     d = Domain((1.0,), (32,))
-    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.0, reaction_on=False)
+    p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.0, reaction=False)
     u0, v0 = build_ic(ICSpec("gaussian_bump", 2.0, 0.1), d)
     dt = 1e-4
     cfg = StepperConfig(dt_init=dt, dt_min=dt, dt_max=dt, t_end=0.02,

@@ -27,9 +27,11 @@ def test_params_validation(bad):
         params(**bad)
 
 
-def test_linear_family_forces_p_zero():
-    p = params(p=3.0, phi_family="linear")
-    assert p.p == 0.0
+def test_linear_family_requires_p_zero():
+    with pytest.raises(ValueError) as err:
+        params(p=3.0, phi_family="linear")
+    assert str(err.value) == "p must be 0.0 under phi_family = linear, got 3.0"
+    p = params(p=0.0, phi_family="linear")
     assert phi(100.0, p) == p.k
 
 

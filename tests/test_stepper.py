@@ -214,7 +214,7 @@ def test_stable_dt_pure_diffusion_formula():
     # 1D, phi==1, h=0.1: limit safety * h^2/2 = 0.5 * 0.005 = 0.0025
     d = Domain((1.0,), (10,))
     p = ModelParams(tau=1.0, chi=1.0, mu=1e-12, a=0.0, k=1.0,
-                    phi_family="linear", reaction_on=False)
+                    phi_family="linear", reaction=False)
     u = Field.constant(d, 1.0)
     v = Field.constant(d, 1.0)
     assert stable_dt(u, v, p, d, cfg_with()) == pytest.approx(0.0025, rel=1e-12)
@@ -224,7 +224,7 @@ def test_stable_dt_advection_formula():
     # steep ramp: h=1, chi=1, face gradient 10 -> limit 0.1 * safety
     d = Domain((3.0,), (3,))
     p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.0, k=1e-9,
-                    phi_family="linear", reaction_on=False)
+                    phi_family="linear", reaction=False)
     u = Field.constant(d, 1.0)
     v = Field(np.array([0.0, 10.0, 20.0]), d)
     assert stable_dt(u, v, p, d, cfg_with()) == pytest.approx(
@@ -235,7 +235,7 @@ def test_stable_dt_clips_to_dt_max():
     # nothing binds: tiny diffusivity, flat fields, reaction off
     d = Domain((100.0,), (3,))   # huge cells
     p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.0, k=1e-12,
-                    phi_family="linear", reaction_on=False)
+                    phi_family="linear", reaction=False)
     u = Field.constant(d, 1.0)
     v = Field.constant(d, 0.0)
     cfg = cfg_with(dt_max=2.0, dt_init=2.0)
@@ -256,7 +256,7 @@ def test_stable_dt_rates_add():
     # either alone (rates sum)
     d = Domain((1.0,), (10,))
     p = ModelParams(tau=1.0, chi=2.0, mu=1.0, a=0.0, k=1.0,
-                    phi_family="linear", reaction_on=False)
+                    phi_family="linear", reaction=False)
     u = Field.constant(d, 1.0)
     ramp = Field(np.linspace(0.0, 3.0, 10), d)
     flat = Field.constant(d, 0.0)
@@ -293,7 +293,7 @@ def dt_rule_cases(draw):
     params = ModelParams(
         tau=1.0, chi=draw(st.floats(0.01, 10.0)), mu=draw(st.floats(0.01, 10.0)),
         a=draw(st.floats(0.0, 10.0)), k=10.0 ** draw(st.floats(-4.0, 1.0)),
-        p=draw(st.floats(0.0, 3.0)), reaction_on=draw(st.booleans()))
+        p=draw(st.floats(0.0, 3.0)), reaction=draw(st.booleans()))
     # below safety 1/2 the drain check never trips
     cfg = StepperConfig(safety=draw(st.floats(0.5, 1.0)))
     ratio = draw(st.floats(0.25, 1.0) | st.floats(1.0, 2.0))
@@ -377,7 +377,7 @@ def test_step_keeps_density_nonnegative_where_flow_diverges():
     d = Domain((1.0,), (4,))
     u = Field(np.array([0.51182162, 0.9504637, 0.14415961, 0.94864945]), d)
     v = Field(np.array([0.54959369, 0.02755911, 0.75351311, 0.53814331]), d)
-    p = ModelParams(tau=1.0, chi=9.0, mu=1.0, k=1.0, reaction_on=False)
+    p = ModelParams(tau=1.0, chi=9.0, mu=1.0, k=1.0, reaction=False)
     new = step(SimState(t=0.0, u=u, v=v, steps=1), p, StepperConfig(dt_min=1e-300))
     assert np.all(new.u.values >= 0.0)
     res = run(u, v, p, StepperConfig(t_end=0.1, dt_init=0.1))
@@ -402,7 +402,7 @@ def step_cases(draw):
         tau=draw(st.floats(0.01, 10.0)), chi=draw(st.floats(0.01, 10.0)),
         mu=draw(st.floats(0.01, 10.0)), a=draw(st.floats(0.0, 10.0)),
         k=draw(st.floats(0.01, 10.0)), p=draw(st.floats(0.0, 3.0)),
-        reaction_on=draw(st.booleans()))
+        reaction=draw(st.booleans()))
     dt = draw(st.none() | st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e))
     cfg = (StepperConfig(dt_min=1e-300) if dt is None
            else StepperConfig(dt_init=dt, dt_min=dt, dt_max=dt, t_end=2.0))
@@ -425,7 +425,7 @@ def test_step_at_the_dt_rule_keeps_fields_nonnegative_property(case):
         return
     assert new.status is RunStatus.RUNNING
     assert np.all(new.u.values >= 0.0) and np.all(new.v.values >= 0.0)
-    if not params.reaction_on:
+    if not params.reaction:
         d = state.domain
         m0, m1 = integrate(state.u, d), integrate(new.u, d)
         assert abs(m1 - m0) <= 1e-12 * m0
@@ -446,7 +446,7 @@ def test_step_tracks_logistic_ode():
 
 def test_step_pure_diffusion_max_principle_and_mass():
     d = Domain((1.0,), (48,))
-    p = ModelParams(tau=1.0, chi=1e-12, mu=1.0, a=0.0, reaction_on=False)
+    p = ModelParams(tau=1.0, chi=1e-12, mu=1.0, a=0.0, reaction=False)
     u0, v0 = build_ic(ICSpec("gaussian_bump", 2.0, 0.08), d)
     cfg = StepperConfig(dt_init=1e-5, dt_min=1e-12, dt_max=1e-4, t_end=0.02,
                         observer_stride=10, blowup_threshold=1e6)
@@ -493,7 +493,7 @@ def test_the_automatic_threshold_resolves_against_the_given_sup(monkeypatch, sup
 def test_nonfinite_becomes_blowup_status(peak, k):
     d = Domain((1.0,), (4,))
     p = ModelParams(tau=1.0, chi=1.0, mu=1.0, a=0.0, k=k,
-                    phi_family="linear", reaction_on=False)
+                    phi_family="linear", reaction=False)
     state = SimState(t=0.0, u=Field(np.array([1.0, peak, 1.0, 1.0]), d),
                      v=Field.constant(d, 0.0))
     # dt_min far below the rule's limit: the step meets the overflow, not the floor
@@ -765,7 +765,7 @@ def _carry_case(name):
         # the spike's cell exactly, up to a rounding-level negative that the
         # density's round-off clamp removes (chi too weak to move the dt rule)
         d = Domain((1.0,), (5,))
-        p = ModelParams(tau=1.0, chi=1e-300, mu=1.0, k=0.5, reaction_on=False)
+        p = ModelParams(tau=1.0, chi=1e-300, mu=1.0, k=0.5, reaction=False)
         u = np.zeros(d.shape)
         u[2] = 1.0
         u0, v0 = Field(u, d), Field.constant(d, 0.0)
@@ -783,7 +783,7 @@ def _carry_case(name):
         d = Domain((1.0,), (4,))
         u0 = Field(np.array([0.51182162, 0.9504637, 0.14415961, 0.94864945]), d)
         v0 = Field(np.array([0.54959369, 0.02755911, 0.75351311, 0.53814331]), d)
-        p = ModelParams(tau=1.0, chi=9.0, mu=1.0, k=1.0, reaction_on=False)
+        p = ModelParams(tau=1.0, chi=9.0, mu=1.0, k=1.0, reaction=False)
         cfg = StepperConfig(dt_init=0.1, dt_min=1e-10, dt_max=0.1, t_end=0.1,
                             observer_stride=3, blowup_threshold=1e6)
     else:
@@ -791,7 +791,7 @@ def _carry_case(name):
         # within one step, so the step re-solves with a smaller dt
         d = Domain((1.0,) * dim, (n,) * dim)
         p = ModelParams(tau=1.0, chi=8.0, mu=1.0, a=0.0, k=0.01, p=0.0,
-                        reaction_on=False)
+                        reaction=False)
         u0, _ = build_ic(ICSpec("gaussian_bump", 30.0, 0.1), d)
         v0 = Field.constant(d, 0.0)
         cfg = StepperConfig(dt_init=1e-2, dt_min=1e-10, dt_max=1e-2, t_end=0.05,

@@ -97,8 +97,8 @@ def test_sweep_spec_counts_must_be_integers(name, value):
 
 
 def test_linear_family_sweeps_p_zero_alone():
-    # ModelParams runs every linear-family cell with p = 0, so a swept p
-    # would label a p = 0 run; the canonical family takes any p. The rule
+    # ModelParams requires p = 0 under the linear family, so a swept p
+    # would fail its cells; the canonical family takes any p. The rule
     # spans [model] and [sweep], so the RunConfig checks it, built in code too
     for p_values in ((0.0, 2.0), (1.0,)):
         assert SweepSpec(p_values=p_values).p_values == p_values
@@ -174,10 +174,10 @@ def test_sweep_runs_a_cell_of_huge_chi():
 
 
 def test_sweep_records_a_threshold_that_is_not_finite_as_an_error():
-    # eta* overflows at chi = C_reg = 1e300: an error cell, not a silent
+    # eta* overflows at chi = c_reg = 1e300: an error cell, not a silent
     # CriticalUndetermined prediction
     cfg = small_cfg(chi_values=(1e300,), mu_values=(2.0,), repeat=1,
-                    C_reg=1e300, ic=ICSpec("constant", 0.5, 0.1))
+                    c_reg=1e300, ic=ICSpec("constant", 0.5, 0.1))
     [record] = run_sweep(cfg, workers=1)
     assert record.outcome is RunOutcome.UNDECIDED
     assert record.note.startswith("error: threshold not finite")
@@ -201,7 +201,7 @@ def test_theory_column_ignores_p():
             columns.setdefault((r.chi, r.mu), set()).add(r.theory_prediction)
         spec = cfg.sweep
         resolved = 3.0 if gamma0 is None else gamma0   # auto: 1D floors at n = 2
-        th = {chi: theta0(resolved, chi, spec.C_reg)[0] for chi in spec.chi_values}
+        th = {chi: theta0(resolved, chi, spec.c_reg)[0] for chi in spec.chi_values}
         assert columns == {(chi, mu): {classify_theory(chi, mu, th[chi])}
                            for chi in spec.chi_values for mu in spec.mu_values}
         assert set.union(*columns.values()) == set(TheoryRegime)

@@ -50,7 +50,7 @@ import numpy as np
 FILES = ("sweep records.csv", "sweep regime_map.csv", "run series.csv",
          "run final.snap", "resume series.csv", "resume final.snap",
          "theta0 stdout", "config format_config")
-# (gamma0, chi, C_reg) arguments of `kellerscope theta0`
+# (gamma0, chi, c_reg) arguments of `kellerscope theta0`
 THETA0_ROWS = (("3", "1", "2"), ("4", "0.5", "1"), ("2.5", "15", "1e-3"))
 # the empty config; one that sets each enum key to a member other than its
 # default; and one that sets every other key of every section to a value
@@ -124,12 +124,16 @@ def _runs(checkout: str, seed: int) -> dict:
         cases += [(damped.name, label, params, cfg.stepper, ic)
                   for label, _, cfg, params, ic in sources]
         _, _, cfg, params, _ = sources[0]
-        for label, changed, cells, t_end in (
-                ("p=1 40x40", {"phi_family": "canonical", "p": 1.0}, (40, 40), 0.01),
-                ("reaction-off 40x40", {"reaction_on": False}, (40, 40), 0.01),
-                ("1d 1100", {}, (1100,), 1e-4)):
+        # reaction off through its config key, which every checkout reads
+        # alike; the field's name may differ between two
+        off = parse_config(format_config(cfg).replace("reaction = on", "reaction = off"))
+        p1 = replace(params, phi_family="canonical", p=1.0)
+        for label, case_params, cells, t_end in (
+                ("p=1 40x40", p1, (40, 40), 0.01),
+                ("reaction-off 40x40", off.params, (40, 40), 0.01),
+                ("1d 1100", params, (1100,), 1e-4)):
             d = Domain((1.0,) * len(cells), cells)
-            cases.append(("slice", label, replace(params, **changed),
+            cases.append(("slice", label, case_params,
                           replace(cfg.stepper, t_end=t_end), build_ic(cfg.ic, d)))
         # the cells as Sweep2w.replay builds them, without running its replay
         sweep = workloads.Sweep2w(seed, work)
